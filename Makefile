@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck bench bench-smoke ci clean
+.PHONY: all build vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck bench bench-smoke bench-test ci clean
 
 all: build
 
@@ -88,7 +88,13 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimSpeed$$' -benchtime 1x -benchmem . | tee bench-smoke.txt
 	$(GO) test ./internal/core -run TestSteadyStateAllocs -count 1
 
-ci: vet build test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck
+# The benchmark in bench/ is a separate module (cdf/bench) that the root
+# `go test ./...` does not reach; vet and test it so a root API change that
+# breaks its build fails here.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck
 
 clean:
 	$(GO) clean ./...

@@ -305,9 +305,10 @@ type Result struct {
 	Sample *SampleSummary `json:",omitempty"`
 }
 
-// Metric returns the named counter from the Metrics table (0 if absent —
-// the table always carries every stats field, so a miss means a typo'd
-// name, which the experiments' own tests would catch).
+// Metric returns the named row from the Metrics table: a counter under its
+// stat tag name or a derived metric such as "ipc" (0 if absent — the table
+// carries every stats field, so a miss means a typo'd name, which the
+// experiments' own tests would catch).
 func (r Result) Metric(name string) float64 {
 	for _, m := range r.Metrics {
 		if m.Name == name {

@@ -106,6 +106,8 @@ type Core struct {
 	// work records whether the current cycle changed machine state beyond
 	// the per-cycle counters the idle skip replicates (see skip.go).
 	work bool
+	// skipDelta holds the observed idle cycle's counter deltas (trySkip).
+	skipDelta stats.Stats
 
 	// Criticality machinery.
 	loadCCT     *cdf.CountTable

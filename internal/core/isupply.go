@@ -1,6 +1,9 @@
 package core
 
-import "cdf/internal/front"
+import (
+	"cdf/internal/front"
+	"cdf/internal/mem/prefetch"
+)
 
 // This file is the core side of the instruction-supply subsystem
 // (internal/front; DESIGN.md §13): the per-core frontend engine that runs
@@ -30,7 +33,7 @@ const maxShadowPending = 4
 // queue are per-core and start empty.
 type frontEng struct {
 	fdip   *front.FDIP      // nil unless cfg.Front.FDIP
-	thr    *front.Throttle  // nil unless cfg.Front.FDIP
+	thr    *prefetch.FDP    // nil unless cfg.Front.FDIP
 	shadow *front.ShadowBTB // nil unless cfg.Front.ShadowBTB
 	dec    *front.Decoder   // nil unless cfg.Front.ShadowBTB
 
@@ -123,7 +126,7 @@ func (c *Core) frontCycle() {
 		fr.fdip.Pop()
 		c.work = true
 		if issued {
-			fr.thr.OnIssued()
+			fr.thr.OnIssued(1)
 			n++
 		}
 	}

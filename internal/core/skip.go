@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+
 	"cdf/internal/cdf"
 	"cdf/internal/stats"
 )
@@ -263,8 +266,8 @@ func (c *Core) trySkip(prev *stats.Stats, prevSig coreSig, prevParts [3]partSnap
 	if c.sig() != prevSig {
 		return
 	}
-	d, ok := c.st.DeltaSince(prev)
-	if !ok {
+	d := &c.skipDelta
+	if !c.st.DeltaSince(prev, d) {
 		return
 	}
 	parts := [3]*cdf.Partition{c.robPart, c.lqPart, c.sqPart}
@@ -342,7 +345,13 @@ func (c *Core) verifySkipPrediction() {
 			c.now, p.sig, c.sig()))
 	}
 	if *c.st != p.want {
-		panic(errInternal("skip verifier: statistics diverge at cycle %d:\n pred %+v\n got  %+v",
-			c.now, p.want, *c.st))
+		var diff strings.Builder
+		pred, got := p.want.Table(), c.st.Table()
+		for i := range got {
+			if got[i] != pred[i] {
+				fmt.Fprintf(&diff, "\n %s: pred %v got %v", got[i].Name, pred[i].Value, got[i].Value)
+			}
+		}
+		panic(errInternal("skip verifier: statistics diverge at cycle %d:%s", c.now, diff.String()))
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"cdf/internal/workload"
@@ -37,4 +38,34 @@ func TestSkipPredictions(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSkipVerifierNamesCounters checks that a statistics mismatch in the
+// skip verifier reports only the diverging counters, by name.
+func TestSkipVerifierNamesCounters(t *testing.T) {
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, m := w.Build()
+	c, err := New(Default(), p, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *c.st
+	want.RetiredUops += 3
+	want.LLCHits++
+	c.skipPred = &skipPrediction{at: c.now, want: want, sig: c.sig()}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, s := range []string{"retired_uops: pred 3 got 0", "llc_hits: pred 1 got 0"} {
+			if !strings.Contains(msg, s) {
+				t.Errorf("verifier message lacks %q:\n%s", s, msg)
+			}
+		}
+		if n := strings.Count(msg, "\n"); n != 2 {
+			t.Errorf("verifier message has %d counter lines, want 2:\n%s", n, msg)
+		}
+	}()
+	c.verifySkipPrediction()
 }

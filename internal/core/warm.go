@@ -8,6 +8,7 @@ import (
 	"cdf/internal/emu"
 	"cdf/internal/front"
 	"cdf/internal/mem"
+	"cdf/internal/mem/prefetch"
 	"cdf/internal/prog"
 	"cdf/internal/stats"
 )
@@ -51,7 +52,7 @@ type Warmer struct {
 	// no prefetches, so the throttle's counters stay frozen by construction.
 	frontShadow *front.ShadowBTB
 	frontDec    *front.Decoder
-	frontThr    *front.Throttle
+	frontThr    *prefetch.FDP
 
 	n uint64 // uops observed
 

@@ -1,85 +1,13 @@
 package front
 
-// Throttle is the FDIP issue throttle. It reuses the FDP policy from
-// internal/mem/prefetch verbatim — accuracy ≥ 0.75 raises the degree (twice
-// when many prefetches are late), accuracy < 0.40 lowers it, evaluated every
-// Interval issued prefetches — applied to the fetch-target queue's issue
-// degree instead of a stream's distance. It persists across sampled-run
-// warming gaps (owned by core.Warmer, adopted by interval cores), so the
-// degree chosen by cycle-accurate evidence carries forward.
-type Throttle struct {
-	min, max int
-	interval uint64
-	degree   int
+import "cdf/internal/mem/prefetch"
 
-	// Current-interval accounting.
-	issued uint64
-	useful uint64
-	late   uint64
-
-	// Lifetime counters.
-	TotalIssued uint64
-	TotalUseful uint64
-	TotalLate   uint64
-	DegreeUps   uint64
-	DegreeDowns uint64
-}
-
-// NewThrottle builds a throttle for cfg, starting mid-range like the stream
-// prefetcher does.
-func NewThrottle(cfg Config) *Throttle {
-	deg := (cfg.MinDegree + cfg.MaxDegree) / 2
-	if deg < cfg.MinDegree {
-		deg = cfg.MinDegree
-	}
-	return &Throttle{min: cfg.MinDegree, max: cfg.MaxDegree, interval: cfg.ThrottleInterval, degree: deg}
-}
-
-// Degree returns the current issue degree (FTQ prefetches per cycle).
-func (t *Throttle) Degree() int { return t.degree }
-
-// OnIssued records one issued L1I prefetch.
-func (t *Throttle) OnIssued() {
-	t.issued++
-	t.TotalIssued++
-	t.maybeAdjust()
-}
-
-// OnUseful records a demand fetch hitting a line brought in by an FDIP
-// prefetch.
-func (t *Throttle) OnUseful() {
-	t.useful++
-	t.TotalUseful++
-}
-
-// OnLate records a demand fetch merging onto a still-pending FDIP prefetch
-// (correct but not timely).
-func (t *Throttle) OnLate() {
-	t.late++
-	t.TotalLate++
-}
-
-func (t *Throttle) maybeAdjust() {
-	if t.issued < t.interval {
-		return
-	}
-	accuracy := float64(t.useful+t.late) / float64(t.issued)
-	lateFrac := float64(t.late) / float64(t.issued)
-	switch {
-	case accuracy >= 0.75:
-		if t.degree < t.max {
-			t.degree++
-			t.DegreeUps++
-		}
-		if lateFrac > 0.25 && t.degree < t.max {
-			t.degree++
-			t.DegreeUps++
-		}
-	case accuracy < 0.40:
-		if t.degree > t.min {
-			t.degree--
-			t.DegreeDowns++
-		}
-	}
-	t.issued, t.useful, t.late = 0, 0, 0
+// NewThrottle returns the FDIP issue throttle: the stream prefetcher's FDP
+// policy (prefetch.FDP) applied to the fetch-target queue's issue degree
+// instead of a stream's distance, starting mid-range. It persists across
+// sampled-run warming gaps (owned by core.Warmer, adopted by interval
+// cores), so the degree chosen by cycle-accurate evidence carries forward.
+func NewThrottle(cfg Config) *prefetch.FDP {
+	t := prefetch.NewFDP(cfg.MinDegree, cfg.MaxDegree, cfg.ThrottleInterval)
+	return &t
 }

@@ -39,39 +39,23 @@ type streamEntry struct {
 // Stream is the stream prefetcher. It is trained on demand-miss line
 // addresses and returns the line addresses to prefetch.
 type Stream struct {
-	cfg    Config
-	table  []streamEntry
-	clock  uint64
-	degree int
-
-	// FDP accounting for the current interval.
-	issued    uint64
-	useful    uint64
-	late      uint64
-	intervalN uint64
+	cfg   Config
+	table []streamEntry
+	clock uint64
+	fdp   FDP
 
 	// frozen suspends FDP feedback (see Freeze).
 	frozen bool
-
-	// Lifetime counters.
-	TotalIssued uint64
-	TotalUseful uint64
-	TotalLate   uint64
-	DegreeUps   uint64
-	DegreeDowns uint64
 }
 
 // New returns a stream prefetcher for cfg.
 func New(cfg Config) *Stream {
-	deg := (cfg.MinDegree + cfg.MaxDegree) / 2
-	if deg < cfg.MinDegree {
-		deg = cfg.MinDegree
-	}
-	return &Stream{cfg: cfg, table: make([]streamEntry, cfg.Streams), degree: deg}
+	return &Stream{cfg: cfg, table: make([]streamEntry, cfg.Streams),
+		fdp: NewFDP(cfg.MinDegree, cfg.MaxDegree, cfg.Interval)}
 }
 
 // Degree returns the current FDP-adjusted prefetch degree.
-func (s *Stream) Degree() int { return s.degree }
+func (s *Stream) Degree() int { return s.fdp.Degree() }
 
 // OnMiss trains the prefetcher with a demand-miss line address and returns
 // the line addresses to prefetch (possibly none).
@@ -129,8 +113,9 @@ func (s *Stream) OnMiss(lineAddr uint64) []uint64 {
 		return nil
 	}
 
-	out := make([]uint64, 0, s.degree)
-	for i := 1; i <= s.degree; i++ {
+	degree := s.fdp.Degree()
+	out := make([]uint64, 0, degree)
+	for i := 1; i <= degree; i++ {
 		next := int64(lineAddr) + e.dir*int64(i)
 		if next < 0 {
 			break
@@ -143,9 +128,7 @@ func (s *Stream) OnMiss(lineAddr uint64) []uint64 {
 		out = append(out, uint64(next))
 	}
 	if !s.frozen {
-		s.issued += uint64(len(out))
-		s.TotalIssued += uint64(len(out))
-		s.maybeAdjust()
+		s.fdp.OnIssued(uint64(len(out)))
 	}
 	return out
 }
@@ -164,42 +147,9 @@ func (s *Stream) OnPrefetchUseful() {
 	if s.frozen {
 		return
 	}
-	s.useful++
-	s.TotalUseful++
+	s.fdp.OnUseful()
 }
 
 // OnPrefetchLate records a demand access that merged onto a still-pending
 // prefetch (the prefetch was correct but not timely).
-func (s *Stream) OnPrefetchLate() {
-	s.late++
-	s.TotalLate++
-}
-
-// maybeAdjust applies FDP: at each interval boundary, raise the degree when
-// accuracy is high (and more so when prefetches are late), lower it when
-// accuracy is poor.
-func (s *Stream) maybeAdjust() {
-	if s.issued < s.cfg.Interval {
-		return
-	}
-	accuracy := float64(s.useful+s.late) / float64(s.issued)
-	lateFrac := float64(s.late) / float64(s.issued)
-	switch {
-	case accuracy >= 0.75:
-		if s.degree < s.cfg.MaxDegree {
-			s.degree++
-			s.DegreeUps++
-		}
-		if lateFrac > 0.25 && s.degree < s.cfg.MaxDegree {
-			s.degree++
-			s.DegreeUps++
-		}
-	case accuracy < 0.40:
-		if s.degree > s.cfg.MinDegree {
-			s.degree--
-			s.DegreeDowns++
-		}
-	}
-	s.issued, s.useful, s.late = 0, 0, 0
-	s.intervalN++
-}
+func (s *Stream) OnPrefetchLate() { s.fdp.OnLate() }

@@ -129,7 +129,7 @@ func TestStreamTableEviction(t *testing.T) {
 			s.OnMiss(base + i)
 		}
 	}
-	if s.TotalIssued == 0 {
+	if s.fdp.TotalIssued == 0 {
 		t.Fatal("eviction broke training entirely")
 	}
 }
@@ -138,11 +138,11 @@ func TestRepeatMissIsNoSignal(t *testing.T) {
 	s := New(Default())
 	s.OnMiss(500)
 	s.OnMiss(501)
-	before := s.TotalIssued
+	before := s.fdp.TotalIssued
 	if got := s.OnMiss(501); len(got) != 0 {
 		t.Fatal("repeat miss should not prefetch")
 	}
-	if s.TotalIssued != before {
+	if s.fdp.TotalIssued != before {
 		t.Fatal("repeat miss should not count as issued")
 	}
 }

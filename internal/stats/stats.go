@@ -6,161 +6,175 @@ package stats
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
-// Stats holds all counters for one simulation run.
+// Stats holds all counters for one simulation run. Each field is the single
+// declaration of its counter: the stat tag gives its report name, and
+// ",idle" marks a counter that a provably idle cycle may move (the idle-skip
+// whitelist, DESIGN.md §9). Merge, DeltaSince, AddDelta and Table loop over
+// the fields, so a new counter needs only its field; init panics unless
+// every field is a tagged uint64.
 type Stats struct {
 	// Pipeline.
-	Cycles          uint64
-	RetiredUops     uint64
-	RetiredLoads    uint64
-	RetiredStores   uint64
-	RetiredBranches uint64
-	FetchedUops     uint64
-	FlushedUops     uint64
+	Cycles          uint64 `stat:"cycles,idle"`
+	RetiredUops     uint64 `stat:"retired_uops"`
+	RetiredLoads    uint64 `stat:"retired_loads"`
+	RetiredStores   uint64 `stat:"retired_stores"`
+	RetiredBranches uint64 `stat:"retired_branches"`
+	FetchedUops     uint64 `stat:"fetched_uops"`
+	FlushedUops     uint64 `stat:"flushed_uops"`
 
 	// Branches.
-	CondBranches      uint64
-	BranchMispredicts uint64
-	BTBMisses         uint64
+	CondBranches      uint64 `stat:"cond_branches"`
+	BranchMispredicts uint64 `stat:"branch_mispredicts"`
+	BTBMisses         uint64 `stat:"btb_misses"`
 
-	FetchStallCycles uint64
+	FetchStallCycles uint64 `stat:"fetch_stall_cycles,idle"`
 
 	// Frontend instruction supply (DESIGN.md §13). The three stall-split
 	// counters attribute each FetchStallCycles tick to its cause; the rest
 	// track the FDIP prefetcher and shadow-branch decoding.
-	FetchStallIMissCycles    uint64
-	FetchStallBTBCycles      uint64
-	FetchStallRedirectCycles uint64
-	FTQOccupancySum          uint64 // FTQ entries summed over frontend-enabled cycles
-	L1IPrefetches            uint64
-	L1IPrefetchUseful        uint64
-	L1IPrefetchLate          uint64
-	ShadowBTBInserts         uint64
-	ShadowBTBHits            uint64
+	FetchStallIMissCycles    uint64 `stat:"fetch_stall_imiss,idle"`
+	FetchStallBTBCycles      uint64 `stat:"fetch_stall_btb,idle"`
+	FetchStallRedirectCycles uint64 `stat:"fetch_stall_redirect,idle"`
+	FTQOccupancySum          uint64 `stat:"ftq_occupancy_sum,idle"` // FTQ entries summed over frontend-enabled cycles
+	L1IPrefetches            uint64 `stat:"l1i_prefetches"`
+	L1IPrefetchUseful        uint64 `stat:"l1i_prefetch_useful"`
+	L1IPrefetchLate          uint64 `stat:"l1i_prefetch_late"`
+	ShadowBTBInserts         uint64 `stat:"shadow_btb_inserts"`
+	ShadowBTBHits            uint64 `stat:"shadow_btb_hits"`
 
 	// Stalls (cycles during which rename could not allocate).
-	ROBFullCycles uint64
-	RSFullCycles  uint64
-	LQFullCycles  uint64
-	SQFullCycles  uint64
+	ROBFullCycles uint64 `stat:"rob_full_cycles,idle"`
+	RSFullCycles  uint64 `stat:"rs_full_cycles,idle"`
+	LQFullCycles  uint64 `stat:"lq_full_cycles,idle"`
+	SQFullCycles  uint64 `stat:"sq_full_cycles,idle"`
 	// FullWindowStallCycles counts cycles with the ROB full and the head
 	// uop waiting on memory — the paper's "full window stall".
-	FullWindowStallCycles uint64
+	FullWindowStallCycles uint64 `stat:"full_window_stall_cycles,idle"`
 
 	// Memory hierarchy.
-	L1IHits, L1IMisses          uint64
-	L1DHits, L1DMisses          uint64
-	LLCHits, LLCMisses          uint64
-	DRAMReads, DRAMWrites       uint64
-	WritebacksL1, WritebacksLLC uint64
-	PrefetchesIssued            uint64
-	PrefetchesUseful            uint64
-	PrefetchesLate              uint64
-	WrongPathLoads              uint64
+	L1IHits          uint64 `stat:"l1i_hits"`
+	L1IMisses        uint64 `stat:"l1i_misses"`
+	L1DHits          uint64 `stat:"l1d_hits"`
+	L1DMisses        uint64 `stat:"l1d_misses"`
+	LLCHits          uint64 `stat:"llc_hits"`
+	LLCMisses        uint64 `stat:"llc_misses"`
+	DRAMReads        uint64 `stat:"dram_reads"`
+	DRAMWrites       uint64 `stat:"dram_writes"`
+	WritebacksL1     uint64 `stat:"writebacks_l1"`
+	WritebacksLLC    uint64 `stat:"writebacks_llc"`
+	PrefetchesIssued uint64 `stat:"prefetches_issued"`
+	PrefetchesUseful uint64 `stat:"prefetches_useful"`
+	PrefetchesLate   uint64 `stat:"prefetches_late"`
+	WrongPathLoads   uint64 `stat:"wrong_path_loads"`
 
 	// MLP: sum of outstanding LLC-missing demand loads over cycles where at
 	// least one is outstanding.
-	mlpSum    uint64
-	mlpCycles uint64
+	mlpSum    uint64 `stat:"mlp_sum,idle"`
+	mlpCycles uint64 `stat:"mlp_cycles,idle"`
 
 	// Fig. 1: ROB occupancy sampled during full-window stalls.
-	StallROBCritical    uint64
-	StallROBNonCritical uint64
-	StallROBSamples     uint64
+	StallROBCritical    uint64 `stat:"stall_rob_critical,idle"`
+	StallROBNonCritical uint64 `stat:"stall_rob_noncritical,idle"`
+	StallROBSamples     uint64 `stat:"stall_rob_samples,idle"`
 
 	// CDF mechanism.
-	CDFModeCycles        uint64
-	CDFEntries           uint64
-	CDFExits             uint64
-	CriticalUopsFetched  uint64
-	CriticalUopsRetired  uint64
-	TracesInstalled      uint64
-	FillBufferWalks      uint64
-	WalksRejectedSparse  uint64
-	WalksRejectedDense   uint64
-	DependenceViolations uint64
-	MemOrderViolations   uint64
-	CUCHits, CUCMisses   uint64
-	PartitionGrows       uint64
-	PartitionShrinks     uint64
+	CDFModeCycles        uint64 `stat:"cdf_mode_cycles,idle"`
+	CDFEntries           uint64 `stat:"cdf_entries"`
+	CDFExits             uint64 `stat:"cdf_exits"`
+	CriticalUopsFetched  uint64 `stat:"critical_uops_fetched"`
+	CriticalUopsRetired  uint64 `stat:"critical_uops_retired"`
+	TracesInstalled      uint64 `stat:"traces_installed"`
+	FillBufferWalks      uint64 `stat:"fill_buffer_walks"`
+	WalksRejectedSparse  uint64 `stat:"walks_rejected_sparse"`
+	WalksRejectedDense   uint64 `stat:"walks_rejected_dense"`
+	DependenceViolations uint64 `stat:"dependence_violations"`
+	MemOrderViolations   uint64 `stat:"mem_order_violations"`
+	CUCHits              uint64 `stat:"cuc_hits"`
+	CUCMisses            uint64 `stat:"cuc_misses"`
+	PartitionGrows       uint64 `stat:"partition_grows"`
+	PartitionShrinks     uint64 `stat:"partition_shrinks"`
 
 	// PRE mechanism.
-	RunaheadIntervals  uint64
-	RunaheadCycles     uint64
-	RunaheadUops       uint64
-	RunaheadPrefetches uint64
+	RunaheadIntervals  uint64 `stat:"runahead_intervals"`
+	RunaheadCycles     uint64 `stat:"runahead_cycles"`
+	RunaheadUops       uint64 `stat:"runahead_uops"`
+	RunaheadPrefetches uint64 `stat:"runahead_prefetches"`
+}
+
+// numCounters is the number of counters in Stats (all fields are uint64).
+const numCounters = int(unsafe.Sizeof(Stats{}) / 8)
+
+// counter is one Stats field's metadata, parsed from its stat tag.
+type counter struct {
+	name string
+	idle bool // an idle cycle may move it (DeltaSince's whitelist)
+}
+
+var (
+	counterTab [numCounters]counter // by field index
+	idleIdx    []int                // indices of the idle counters
+)
+
+func init() {
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		name, opt, _ := strings.Cut(f.Tag.Get("stat"), ",")
+		if f.Type.Kind() != reflect.Uint64 || name == "" || (opt != "" && opt != "idle") {
+			panic(fmt.Sprintf("stats: field %s must be a uint64 tagged `stat:\"name\"` or `stat:\"name,idle\"`", f.Name))
+		}
+		counterTab[i] = counter{name: name, idle: opt == "idle"}
+		if opt == "idle" {
+			idleIdx = append(idleIdx, i)
+		}
+	}
+}
+
+// counters views s as its array of counters, in field order.
+func (s *Stats) counters() *[numCounters]uint64 {
+	return (*[numCounters]uint64)(unsafe.Pointer(s))
 }
 
 // Merge adds every counter of o into s. Sampled simulation merges each
-// measured interval's Stats into the run total; TestMergeCoversAllFields
-// keeps this list in sync with the struct.
+// measured interval's Stats into the run total.
 func (s *Stats) Merge(o *Stats) {
-	s.Cycles += o.Cycles
-	s.RetiredUops += o.RetiredUops
-	s.RetiredLoads += o.RetiredLoads
-	s.RetiredStores += o.RetiredStores
-	s.RetiredBranches += o.RetiredBranches
-	s.FetchedUops += o.FetchedUops
-	s.FlushedUops += o.FlushedUops
-	s.CondBranches += o.CondBranches
-	s.BranchMispredicts += o.BranchMispredicts
-	s.BTBMisses += o.BTBMisses
-	s.FetchStallCycles += o.FetchStallCycles
-	s.FetchStallIMissCycles += o.FetchStallIMissCycles
-	s.FetchStallBTBCycles += o.FetchStallBTBCycles
-	s.FetchStallRedirectCycles += o.FetchStallRedirectCycles
-	s.FTQOccupancySum += o.FTQOccupancySum
-	s.L1IPrefetches += o.L1IPrefetches
-	s.L1IPrefetchUseful += o.L1IPrefetchUseful
-	s.L1IPrefetchLate += o.L1IPrefetchLate
-	s.ShadowBTBInserts += o.ShadowBTBInserts
-	s.ShadowBTBHits += o.ShadowBTBHits
-	s.ROBFullCycles += o.ROBFullCycles
-	s.RSFullCycles += o.RSFullCycles
-	s.LQFullCycles += o.LQFullCycles
-	s.SQFullCycles += o.SQFullCycles
-	s.FullWindowStallCycles += o.FullWindowStallCycles
-	s.L1IHits += o.L1IHits
-	s.L1IMisses += o.L1IMisses
-	s.L1DHits += o.L1DHits
-	s.L1DMisses += o.L1DMisses
-	s.LLCHits += o.LLCHits
-	s.LLCMisses += o.LLCMisses
-	s.DRAMReads += o.DRAMReads
-	s.DRAMWrites += o.DRAMWrites
-	s.WritebacksL1 += o.WritebacksL1
-	s.WritebacksLLC += o.WritebacksLLC
-	s.PrefetchesIssued += o.PrefetchesIssued
-	s.PrefetchesUseful += o.PrefetchesUseful
-	s.PrefetchesLate += o.PrefetchesLate
-	s.WrongPathLoads += o.WrongPathLoads
-	s.mlpSum += o.mlpSum
-	s.mlpCycles += o.mlpCycles
-	s.StallROBCritical += o.StallROBCritical
-	s.StallROBNonCritical += o.StallROBNonCritical
-	s.StallROBSamples += o.StallROBSamples
-	s.CDFModeCycles += o.CDFModeCycles
-	s.CDFEntries += o.CDFEntries
-	s.CDFExits += o.CDFExits
-	s.CriticalUopsFetched += o.CriticalUopsFetched
-	s.CriticalUopsRetired += o.CriticalUopsRetired
-	s.TracesInstalled += o.TracesInstalled
-	s.FillBufferWalks += o.FillBufferWalks
-	s.WalksRejectedSparse += o.WalksRejectedSparse
-	s.WalksRejectedDense += o.WalksRejectedDense
-	s.DependenceViolations += o.DependenceViolations
-	s.MemOrderViolations += o.MemOrderViolations
-	s.CUCHits += o.CUCHits
-	s.CUCMisses += o.CUCMisses
-	s.PartitionGrows += o.PartitionGrows
-	s.PartitionShrinks += o.PartitionShrinks
-	s.RunaheadIntervals += o.RunaheadIntervals
-	s.RunaheadCycles += o.RunaheadCycles
-	s.RunaheadUops += o.RunaheadUops
-	s.RunaheadPrefetches += o.RunaheadPrefetches
+	a, b := s.counters(), o.counters()
+	for i := range a {
+		a[i] += b[i]
+	}
+}
+
+// DeltaSince reports whether the change from prev to s is confined to the
+// idle counters, and writes that change into d's idle counters (d's other
+// counters are not touched). The event-driven idle skip (DESIGN.md §9)
+// observes one quiet cycle this way and replays its delta with AddDelta
+// instead of simulating the following idle cycles; any movement in another
+// counter means the cycle did work.
+func (s *Stats) DeltaSince(prev, d *Stats) bool {
+	// Masked equality: overwrite the idle counters of a copy of prev with
+	// s's values; every other counter must already match (Stats is all
+	// uint64, so struct equality is exact).
+	masked := *prev
+	m, cur, old, dc := masked.counters(), s.counters(), prev.counters(), d.counters()
+	for _, i := range idleIdx {
+		m[i] = cur[i]
+		dc[i] = cur[i] - old[i]
+	}
+	return masked == *s
+}
+
+// AddDelta adds d's idle counters, scaled by k cycles, to s.
+func (s *Stats) AddDelta(d *Stats, k uint64) {
+	a, dc := s.counters(), d.counters()
+	for _, i := range idleIdx {
+		a[i] += dc[i] * k
+	}
 }
 
 // TickMLP records one cycle with n outstanding LLC-missing demand loads.
@@ -244,50 +258,23 @@ func (s *Stats) FTQOccupancy() float64 {
 // memory traffic metric (Fig. 15).
 func (s *Stats) MemTraffic() uint64 { return s.DRAMReads + s.DRAMWrites }
 
-// Table returns the counters as sorted name/value rows for reports.
+// Table returns every counter plus the derived metrics as name-sorted
+// name/value rows for reports.
 func (s *Stats) Table() []Row {
-	rows := []Row{
-		{"cycles", float64(s.Cycles)},
-		{"retired_uops", float64(s.RetiredUops)},
-		{"ipc", s.IPC()},
-		{"retired_loads", float64(s.RetiredLoads)},
-		{"retired_stores", float64(s.RetiredStores)},
-		{"retired_branches", float64(s.RetiredBranches)},
-		{"branch_mpki", s.BranchMPKI()},
-		{"branch_mispredicts", float64(s.BranchMispredicts)},
-		{"btb_misses", float64(s.BTBMisses)},
-		{"l1i_misses", float64(s.L1IMisses)},
-		{"l1i_mpki", s.L1IMPKI()},
-		{"fetch_stall_cycles", float64(s.FetchStallCycles)},
-		{"fetch_stall_imiss", float64(s.FetchStallIMissCycles)},
-		{"fetch_stall_btb", float64(s.FetchStallBTBCycles)},
-		{"fetch_stall_redirect", float64(s.FetchStallRedirectCycles)},
-		{"ftq_avg_occupancy", s.FTQOccupancy()},
-		{"l1i_prefetches", float64(s.L1IPrefetches)},
-		{"l1i_prefetch_useful", float64(s.L1IPrefetchUseful)},
-		{"l1i_prefetch_late", float64(s.L1IPrefetchLate)},
-		{"shadow_btb_inserts", float64(s.ShadowBTBInserts)},
-		{"shadow_btb_hits", float64(s.ShadowBTBHits)},
-		{"l1d_misses", float64(s.L1DMisses)},
-		{"llc_misses", float64(s.LLCMisses)},
-		{"llc_mpki", s.LLCMPKI()},
-		{"dram_reads", float64(s.DRAMReads)},
-		{"dram_writes", float64(s.DRAMWrites)},
-		{"mem_traffic", float64(s.MemTraffic())},
-		{"mlp", s.MLP()},
-		{"full_window_stall_cycles", float64(s.FullWindowStallCycles)},
-		{"rob_full_cycles", float64(s.ROBFullCycles)},
-		{"prefetches_issued", float64(s.PrefetchesIssued)},
-		{"prefetches_useful", float64(s.PrefetchesUseful)},
-		{"wrong_path_loads", float64(s.WrongPathLoads)},
-		{"cdf_mode_cycles", float64(s.CDFModeCycles)},
-		{"cdf_entries", float64(s.CDFEntries)},
-		{"critical_uops_fetched", float64(s.CriticalUopsFetched)},
-		{"traces_installed", float64(s.TracesInstalled)},
-		{"dependence_violations", float64(s.DependenceViolations)},
-		{"runahead_intervals", float64(s.RunaheadIntervals)},
-		{"runahead_prefetches", float64(s.RunaheadPrefetches)},
+	c := s.counters()
+	rows := make([]Row, 0, numCounters+7) // counters + the derived rows below
+	for i, m := range counterTab {
+		rows = append(rows, Row{m.name, float64(c[i])})
 	}
+	rows = append(rows,
+		Row{"ipc", s.IPC()},
+		Row{"branch_mpki", s.BranchMPKI()},
+		Row{"l1i_mpki", s.L1IMPKI()},
+		Row{"llc_mpki", s.LLCMPKI()},
+		Row{"ftq_avg_occupancy", s.FTQOccupancy()},
+		Row{"mem_traffic", float64(s.MemTraffic())},
+		Row{"mlp", s.MLP()},
+	)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return rows
 }
@@ -305,96 +292,4 @@ func (s *Stats) String() string {
 		fmt.Fprintf(&sb, "%-28s %14.3f\n", r.Name, r.Value)
 	}
 	return sb.String()
-}
-
-// CycleDelta is the per-cycle statistics change during a provably idle
-// stretch: the only counters a stalled cycle may touch. The event-driven
-// idle skip (DESIGN.md §9) observes one quiet cycle, captures its delta,
-// and replays it k times via AddDelta instead of simulating k cycles.
-type CycleDelta struct {
-	Cycles                   uint64
-	CDFModeCycles            uint64
-	FetchStallCycles         uint64
-	FetchStallIMissCycles    uint64
-	FetchStallBTBCycles      uint64
-	FetchStallRedirectCycles uint64
-	FTQOccupancySum          uint64
-	ROBFullCycles            uint64
-	RSFullCycles             uint64
-	LQFullCycles             uint64
-	SQFullCycles             uint64
-	FullWindowStallCycles    uint64
-	StallROBCritical         uint64
-	StallROBNonCritical      uint64
-	StallROBSamples          uint64
-	MLPSum                   uint64
-	MLPCycles                uint64
-}
-
-// DeltaSince returns the change from prev to s, provided that change is
-// confined to the per-idle-cycle counters above. Any movement in another
-// counter means the cycle did work and returns ok=false.
-func (s *Stats) DeltaSince(prev *Stats) (d CycleDelta, ok bool) {
-	d = CycleDelta{
-		Cycles:                   s.Cycles - prev.Cycles,
-		CDFModeCycles:            s.CDFModeCycles - prev.CDFModeCycles,
-		FetchStallCycles:         s.FetchStallCycles - prev.FetchStallCycles,
-		FetchStallIMissCycles:    s.FetchStallIMissCycles - prev.FetchStallIMissCycles,
-		FetchStallBTBCycles:      s.FetchStallBTBCycles - prev.FetchStallBTBCycles,
-		FetchStallRedirectCycles: s.FetchStallRedirectCycles - prev.FetchStallRedirectCycles,
-		FTQOccupancySum:          s.FTQOccupancySum - prev.FTQOccupancySum,
-		ROBFullCycles:            s.ROBFullCycles - prev.ROBFullCycles,
-		RSFullCycles:             s.RSFullCycles - prev.RSFullCycles,
-		LQFullCycles:             s.LQFullCycles - prev.LQFullCycles,
-		SQFullCycles:             s.SQFullCycles - prev.SQFullCycles,
-		FullWindowStallCycles:    s.FullWindowStallCycles - prev.FullWindowStallCycles,
-		StallROBCritical:         s.StallROBCritical - prev.StallROBCritical,
-		StallROBNonCritical:      s.StallROBNonCritical - prev.StallROBNonCritical,
-		StallROBSamples:          s.StallROBSamples - prev.StallROBSamples,
-		MLPSum:                   s.mlpSum - prev.mlpSum,
-		MLPCycles:                s.mlpCycles - prev.mlpCycles,
-	}
-	// Masked equality: overwrite the whitelisted fields of a copy of prev
-	// with s's values; every other counter must already match (Stats is all
-	// uint64, so struct equality is exact).
-	masked := *prev
-	masked.Cycles = s.Cycles
-	masked.CDFModeCycles = s.CDFModeCycles
-	masked.FetchStallCycles = s.FetchStallCycles
-	masked.FetchStallIMissCycles = s.FetchStallIMissCycles
-	masked.FetchStallBTBCycles = s.FetchStallBTBCycles
-	masked.FetchStallRedirectCycles = s.FetchStallRedirectCycles
-	masked.FTQOccupancySum = s.FTQOccupancySum
-	masked.ROBFullCycles = s.ROBFullCycles
-	masked.RSFullCycles = s.RSFullCycles
-	masked.LQFullCycles = s.LQFullCycles
-	masked.SQFullCycles = s.SQFullCycles
-	masked.FullWindowStallCycles = s.FullWindowStallCycles
-	masked.StallROBCritical = s.StallROBCritical
-	masked.StallROBNonCritical = s.StallROBNonCritical
-	masked.StallROBSamples = s.StallROBSamples
-	masked.mlpSum = s.mlpSum
-	masked.mlpCycles = s.mlpCycles
-	return d, masked == *s
-}
-
-// AddDelta applies d scaled by k cycles.
-func (s *Stats) AddDelta(d CycleDelta, k uint64) {
-	s.Cycles += d.Cycles * k
-	s.CDFModeCycles += d.CDFModeCycles * k
-	s.FetchStallCycles += d.FetchStallCycles * k
-	s.FetchStallIMissCycles += d.FetchStallIMissCycles * k
-	s.FetchStallBTBCycles += d.FetchStallBTBCycles * k
-	s.FetchStallRedirectCycles += d.FetchStallRedirectCycles * k
-	s.FTQOccupancySum += d.FTQOccupancySum * k
-	s.ROBFullCycles += d.ROBFullCycles * k
-	s.RSFullCycles += d.RSFullCycles * k
-	s.LQFullCycles += d.LQFullCycles * k
-	s.SQFullCycles += d.SQFullCycles * k
-	s.FullWindowStallCycles += d.FullWindowStallCycles * k
-	s.StallROBCritical += d.StallROBCritical * k
-	s.StallROBNonCritical += d.StallROBNonCritical * k
-	s.StallROBSamples += d.StallROBSamples * k
-	s.mlpSum += d.MLPSum * k
-	s.mlpCycles += d.MLPCycles * k
 }

@@ -207,3 +207,120 @@ func TestRatiosZeroDenominators(t *testing.T) {
 		t.Errorf("Geomean(nil) err = %v, want ErrNoSamples", err)
 	}
 }
+
+// idleCounters is the idle-skip whitelist: the counters a stalled cycle may
+// move, which DeltaSince tolerates and AddDelta replays.
+var idleCounters = map[string]bool{
+	"cycles": true, "cdf_mode_cycles": true, "fetch_stall_cycles": true,
+	"fetch_stall_imiss": true, "fetch_stall_btb": true, "fetch_stall_redirect": true,
+	"ftq_occupancy_sum": true, "rob_full_cycles": true, "rs_full_cycles": true,
+	"lq_full_cycles": true, "sq_full_cycles": true, "full_window_stall_cycles": true,
+	"stall_rob_critical": true, "stall_rob_noncritical": true, "stall_rob_samples": true,
+	"mlp_sum": true, "mlp_cycles": true,
+}
+
+// TestIdleSkipWhitelist bumps each counter in turn by one: DeltaSince must
+// accept exactly the idle counters, with a delta of one in that counter
+// alone, and AddDelta(d, k) must equal k single bumps.
+func TestIdleSkipWhitelist(t *testing.T) {
+	var base Stats
+	for i := range base.counters() {
+		base.counters()[i] = uint64(100 + i)
+	}
+	seen := 0
+	for i, m := range counterTab {
+		t.Run(m.name, func(t *testing.T) {
+			cur := base
+			cur.counters()[i]++
+			var d Stats
+			ok := cur.DeltaSince(&base, &d)
+			if want := idleCounters[m.name]; ok != want {
+				t.Fatalf("DeltaSince ok = %v, want %v", ok, want)
+			}
+			if !ok {
+				return
+			}
+			seen++
+			for j, v := range d.counters() {
+				var want uint64
+				if j == i {
+					want = 1
+				}
+				if v != want {
+					t.Fatalf("delta[%s] = %d, want %d", counterTab[j].name, v, want)
+				}
+			}
+			const k = 7
+			got, want := base, base
+			got.AddDelta(&d, k)
+			for n := 0; n < k; n++ {
+				want.counters()[i]++
+			}
+			if got != want {
+				t.Fatalf("AddDelta(d, %d) differs from %d single bumps", k, k)
+			}
+		})
+	}
+	if seen != len(idleCounters) {
+		t.Fatalf("%d idle counters accepted, want %d", seen, len(idleCounters))
+	}
+
+	// Work alongside idle ticks is still work.
+	cur := base
+	cur.Cycles++
+	cur.RetiredUops++
+	var d Stats
+	if cur.DeltaSince(&base, &d) {
+		t.Fatal("DeltaSince accepted a cycle that retired a uop")
+	}
+}
+
+// TestTableListsEveryCounter checks that Table reports every counter exactly
+// once, under its own name, with no collision with a derived row, and that
+// every name reports have always used is still there.
+func TestTableListsEveryCounter(t *testing.T) {
+	var s Stats
+	for i := range s.counters() {
+		s.counters()[i] = uint64(1000 + i)
+	}
+	byName := map[string]float64{}
+	for _, r := range s.Table() {
+		if _, dup := byName[r.Name]; dup {
+			t.Fatalf("row %q appears twice", r.Name)
+		}
+		byName[r.Name] = r.Value
+	}
+	for i, m := range counterTab {
+		if v, ok := byName[m.name]; !ok || v != float64(1000+i) {
+			t.Errorf("counter %s: row %q = %v (present %v), want %d", reflect.TypeOf(s).Field(i).Name, m.name, v, ok, 1000+i)
+		}
+		delete(byName, m.name)
+	}
+	derived := []string{"ipc", "branch_mpki", "l1i_mpki", "llc_mpki", "ftq_avg_occupancy", "mem_traffic", "mlp"}
+	for _, name := range derived {
+		if _, ok := byName[name]; !ok {
+			t.Errorf("derived row %q missing", name)
+		}
+		delete(byName, name)
+	}
+	if len(byName) != 0 {
+		t.Errorf("rows neither counters nor derived: %v", byName)
+	}
+	for _, name := range []string{
+		"branch_mispredicts", "btb_misses", "cdf_entries", "cdf_mode_cycles", "critical_uops_fetched",
+		"cycles", "dependence_violations", "dram_reads", "dram_writes", "fetch_stall_btb",
+		"fetch_stall_cycles", "fetch_stall_imiss", "fetch_stall_redirect", "full_window_stall_cycles",
+		"l1d_misses", "l1i_misses", "l1i_prefetch_late", "l1i_prefetch_useful", "l1i_prefetches",
+		"llc_misses", "prefetches_issued", "prefetches_useful", "retired_branches", "retired_loads",
+		"retired_stores", "retired_uops", "rob_full_cycles", "runahead_intervals", "runahead_prefetches",
+		"shadow_btb_hits", "shadow_btb_inserts", "traces_installed", "wrong_path_loads",
+	} {
+		found := false
+		for _, m := range counterTab {
+			found = found || m.name == name
+		}
+		if !found {
+			t.Errorf("report name %q is no longer a counter", name)
+		}
+	}
+}
