@@ -2,12 +2,17 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck bench bench-smoke bench-test ci clean
+.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck bench bench-smoke bench-test ci clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails listing any file gofmt would rewrite (bench/
+# included).
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -72,10 +77,12 @@ shellcheck:
 	fi
 
 # Simulator-throughput benchmarks (DESIGN.md §9): the full mode x kernel
-# matrix, reporting uops/s, cycles/s, and allocations. To compare two
-# revisions, save each run and feed the pair to benchstat:
-#   make bench > old.txt ... make bench > new.txt
-#   benchstat old.txt new.txt
+# matrix, reporting uops/s, cycles/s, and allocations. benchstat is not
+# vendored; to compare two revisions end to end, record runs of the
+# repo's benchmark on each (a.jsonl, b.jsonl) and compare them against
+# the BENCHMARK.json bounds (bench/README.md, "Comparing revisions"):
+#   bash bench/run.sh --workload sweep --seed 1 -out a.jsonl
+#   bash bench/run.sh -compare a.jsonl b.jsonl
 # BenchmarkSimSpeedSlow is the same matrix on the -slowpath reference loop.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimSpeed$$' -benchmem -count 1 .
@@ -94,7 +101,7 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck
+ci: fmt vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck
 
 clean:
 	$(GO) clean ./...

@@ -17,13 +17,9 @@ package cdf
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cdf/internal/core"
@@ -204,9 +200,10 @@ func (o Options) Validate() error {
 	return o.Sampling.validate(o.effectiveMaxUops(), o.WarmupUops)
 }
 
-// coreConfig materializes a core.Config from Options (which must have
-// passed Validate).
-func (o Options) coreConfig() core.Config {
+// CoreConfig materializes the machine configuration the options describe:
+// the one place cdf.Options knobs become core.Config fields. The options
+// must have passed Validate.
+func (o Options) CoreConfig() core.Config {
 	cfg := core.Default()
 	cfg.Mode = o.Mode
 	cfg.MaxRetired = o.effectiveMaxUops()
@@ -364,7 +361,7 @@ func RunContext(ctx context.Context, benchmark string, opt Options) (Result, err
 		return runSampled(ctx, benchmark, w, opt)
 	}
 	prg, mem := w.Build()
-	cfg := opt.coreConfig()
+	cfg := opt.CoreConfig()
 	c, err := core.New(cfg, prg, mem)
 	if err != nil {
 		return Result{}, fmt.Errorf("cdf: %s/%s: %w", benchmark, opt.Mode, err)
@@ -523,43 +520,58 @@ func (e *SweepError) orNil() error {
 	return e
 }
 
-// runSet runs (benchmark, mode) pairs in parallel and collects results.
+// runKey names one run of a runSet.
 type runKey struct {
 	bench string
 	mode  Mode
 }
 
-// runSet runs every (benchmark, mode) pair on a bounded worker pool with
-// failure isolation: one wedged, panicking, or timed-out run is recorded
-// in the returned *SweepError while the rest of the sweep completes. The
-// results map holds only the runs that completed; callers must check
-// membership (haveAll) before folding a benchmark into a table.
+// runSet runs every (benchmark, mode) pair through runCases. The results
+// map holds only the runs that completed; callers must check membership
+// (haveAll) before folding a benchmark into a table.
+func runSet(ctx context.Context, benches []string, modes []Mode, opt Options, so SuiteOptions) (map[runKey]Result, *SweepError) {
+	cases := make([]sweepCase, 0, len(benches)*len(modes))
+	for _, b := range benches {
+		for _, m := range modes {
+			o := opt
+			o.Mode = m
+			cases = append(cases, sweepCase{b, o})
+		}
+	}
+	done, sweep := runCases(ctx, cases, so)
+	results := make(map[runKey]Result, len(cases))
+	for i, r := range done {
+		if r != nil {
+			results[runKey{cases[i].bench, cases[i].opt.Mode}] = *r
+		}
+	}
+	return results, sweep
+}
+
+// sweepCase is one run of a sweep.
+type sweepCase struct {
+	bench string
+	opt   Options
+}
+
+// runCases runs every case on a bounded worker pool with failure
+// isolation: one wedged, panicking, or timed-out run is recorded in the
+// returned *SweepError (and its result is nil) while the rest of the
+// sweep completes.
 //
 // With so.Store set the sweep is additionally crash-safe: cases whose
 // verified results are cached are served without simulating, and every
 // newly simulated case is cached and journaled durably before the pool
 // moves on. Transient failures are retried under so.Retries with capped
-// exponential backoff; deterministic failures fail fast (see runCase).
-func runSet(ctx context.Context, benches []string, modes []Mode, opt Options, so SuiteOptions) (map[runKey]Result, *SweepError) {
-	keys := make([]runKey, 0, len(benches)*len(modes))
-	for _, b := range benches {
-		for _, m := range modes {
-			keys = append(keys, runKey{bench: b, mode: m})
+// exponential backoff; deterministic failures fail fast (CaseExecutor).
+func runCases(ctx context.Context, cases []sweepCase, so SuiteOptions) ([]*Result, *SweepError) {
+	results := make([]*Result, len(cases))
+	errs := harness.Pool(ctx, so.Jobs, len(cases), func(ctx context.Context, i int) error {
+		res, _, err := runCase(ctx, cases[i].bench, cases[i].opt, so)
+		if err == nil {
+			results[i] = &res
 		}
-	}
-	results := make(map[runKey]Result, len(keys))
-	var mu sync.Mutex
-	errs := harness.Pool(ctx, so.Jobs, len(keys), func(ctx context.Context, i int) error {
-		o := opt
-		o.Mode = keys[i].mode
-		res, _, err := runCase(ctx, keys[i].bench, o, so)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		results[keys[i]] = res
-		mu.Unlock()
-		return nil
+		return err
 	})
 	var sweep *SweepError
 	for i, err := range errs {
@@ -567,7 +579,7 @@ func runSet(ctx context.Context, benches []string, modes []Mode, opt Options, so
 			if sweep == nil {
 				sweep = &SweepError{}
 			}
-			sweep.Failures = append(sweep.Failures, RunError{keys[i].bench, keys[i].mode, err})
+			sweep.Failures = append(sweep.Failures, RunError{cases[i].bench, cases[i].opt.Mode, err})
 		}
 	}
 	return results, sweep
@@ -587,7 +599,7 @@ func CaseKey(benchmark string, opt Options) (string, error) {
 		Oracle   bool        `json:"oracle"`
 		Sampling Sampling    `json:"sampling"`
 		Config   core.Config `json:"config"`
-	}{benchmark, opt.Oracle, opt.Sampling.effective(), opt.coreConfig()}
+	}{benchmark, opt.Oracle, opt.Sampling.effective(), opt.CoreConfig()}
 	return sweepstore.Key(sweepstore.CodeVersion(), desc)
 }
 
@@ -599,126 +611,23 @@ func RunCached(ctx context.Context, store *sweepstore.Store, benchmark string, o
 	return runCase(ctx, benchmark, opt, SuiteOptions{Store: store})
 }
 
-// runCase executes one case under the sweep's durability and retry
-// policy: serve a verified cache hit, else simulate with per-attempt
-// chaos injection, retrying transient failures (sweepstore.Retryable)
-// under the so.Retries budget with backoff, failing fast on
-// deterministic ones. Completed cases are persisted and journaled before
-// returning; terminal failures (other than cancellation) are journaled.
+// runCase executes one case in-process under the sweep's CaseExecutor
+// policy (cache, retries under so.Retries, persistence), with so.Chaos
+// injected per attempt.
 func runCase(ctx context.Context, bench string, opt Options, so SuiteOptions) (Result, bool, error) {
-	var key string
-	if so.Store != nil {
-		k, err := CaseKey(bench, opt)
-		if err != nil {
-			return Result{}, false, err
-		}
-		key = k
-		if res, ok := cachedResult(so.Store, key, bench, opt.Mode); ok {
-			return res, true, nil
-		}
-	}
-	// caseID keys the deterministic chaos and jitter draws; the cache key
-	// when durable, else the stable human name.
-	caseID := key
-	if caseID == "" {
-		caseID = bench + "/" + opt.Mode.String()
-	}
-	retries := so.Retries
-	if retries < 0 {
-		retries = 0
-	}
-	bo := sweepstore.Backoff{Seed: opt.Seed}
+	x := CaseExecutor{Store: so.Store, Retries: so.Retries}
 	if so.RetryBackoff != nil {
-		bo = *so.RetryBackoff
+		x.Backoff = *so.RetryBackoff
 	}
-	for attempt := 0; ; attempt++ {
-		res, err := runAttempt(ctx, bench, opt, so.Chaos, caseID, attempt)
-		if err == nil {
-			if so.Store != nil {
-				if perr := persistResult(so.Store, key, res, attempt); perr != nil {
-					// The run succeeded but the durability contract did
-					// not: surface it rather than silently losing
-					// crash-safety the caller asked for.
-					return Result{}, false, fmt.Errorf("cdf: %s/%s: result computed but not persisted: %w",
-						bench, opt.Mode, perr)
-				}
-			}
-			// The kill (if armed) fires only after the case is durable:
-			// exactly the window the resume equivalence proof needs.
-			so.Chaos.CaseSimulated()
-			return res, false, nil
-		}
-		if !sweepstore.Retryable(err) || attempt >= retries {
-			if so.Store != nil && !errors.Is(err, harness.ErrCanceled) && !errors.Is(err, context.Canceled) {
-				// Best-effort terminal-failure record; the failure itself
-				// is already being reported through the SweepError.
-				_ = so.Store.Fail(sweepstore.Record{Key: key, Bench: bench, Mode: opt.Mode.String(),
-					Status: sweepstore.StatusFailed, Reason: failureReason(err), Attempts: attempt + 1})
-			}
-			return Result{}, false, err
-		}
-		if so.Store != nil {
-			so.Store.NoteRetry()
-		}
-		if serr := bo.Sleep(ctx, caseID, attempt); serr != nil {
-			return Result{}, false, err // canceled mid-backoff: report the run's own failure
-		}
+	res, fromCache, err := x.Run(ctx, bench, opt, func(ctx context.Context, caseID string, n int) (Result, error) {
+		return RunAttempt(ctx, bench, opt, so.Chaos, caseID, n)
+	})
+	if err == nil && !fromCache {
+		// The kill (if armed) fires only after the case is durable:
+		// exactly the window the resume equivalence proof needs.
+		so.Chaos.CaseSimulated()
 	}
-}
-
-// runAttempt is one dispatch of a case: chaos pre-dispatch injection
-// (delay, panic) followed by the hardened run. The recover absorbs
-// injected — and any other in-process — panics into the same *SimError
-// shape a simulator panic produces, so the retry loop treats worker
-// panics uniformly.
-func runAttempt(ctx context.Context, bench string, opt Options, chaos *harness.Chaos, caseID string, attempt int) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &harness.SimError{Reason: harness.ReasonPanic, PanicValue: r,
-				Stack: debug.Stack(), Seed: opt.Seed}
-		}
-	}()
-	chaos.BeforeCase(caseID, attempt)
-	return RunContext(ctx, bench, opt)
-}
-
-// cachedResult fetches and decodes a verified cache entry. Beyond the
-// store's integrity checks, the decoded payload must actually be the
-// requested case's completed result — a store can lose work, it must
-// never substitute it.
-func cachedResult(store *sweepstore.Store, key, bench string, mode Mode) (Result, bool) {
-	payload, ok := store.Get(key)
-	if !ok {
-		return Result{}, false
-	}
-	var res Result
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return Result{}, false
-	}
-	if res.Benchmark != bench || res.Mode != mode || res.StopReason != StopCompleted {
-		return Result{}, false
-	}
-	return res, true
-}
-
-// persistResult caches and journals one completed case.
-func persistResult(store *sweepstore.Store, key string, res Result, attempt int) error {
-	payload, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	return store.Put(key, payload, sweepstore.Record{Bench: res.Benchmark, Mode: res.Mode.String(),
-		Status: sweepstore.StatusDone, Attempts: attempt + 1})
-}
-
-// failureReason maps a case's terminal error to the journal's failure
-// class.
-func failureReason(err error) string {
-	var se *harness.SimError
-	if errors.As(err, &se) {
-		return se.Reason
-	}
-	return "error"
+	return res, fromCache, err
 }
 
 // haveAll reports whether every mode's result for bench completed, i.e.

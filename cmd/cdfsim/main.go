@@ -151,17 +151,8 @@ func main() {
 			Warmup:   uint64(sampW),
 		},
 	}
-	switch *mode {
-	case "baseline":
-		opt.Mode = cdf.ModeBaseline
-	case "cdf":
-		opt.Mode = cdf.ModeCDF
-	case "pre":
-		opt.Mode = cdf.ModePRE
-	case "hybrid":
-		opt.Mode = cdf.ModeHybrid
-	default:
-		fmt.Fprintf(os.Stderr, "cdfsim: unknown mode %q\n", *mode)
+	if opt.Mode, err = core.ParseMode(*mode); err != nil {
+		fmt.Fprintln(os.Stderr, "cdfsim:", err)
 		os.Exit(2)
 	}
 	if *noBr {
@@ -170,7 +161,12 @@ func main() {
 	}
 
 	if *traceN > 0 {
-		runTraced(*bench, opt, *traceN)
+		if _, err := tracedRun(*bench, opt, &core.TextTracer{W: os.Stdout, MaxEvents: *traceN}); err != nil {
+			fmt.Fprintln(os.Stderr, "cdfsim:", err)
+			printFailureDetail(os.Stderr, err)
+			profStop()
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -232,41 +228,29 @@ func main() {
 	}
 }
 
-// runTraced runs the benchmark with a pipeline tracer attached and prints
-// the first n events.
-func runTraced(bench string, opt cdf.Options, n int) {
+// tracedRun runs the benchmark with tr attached to the machine cdf.Run
+// builds for opt (validated the same way) and returns the finished core.
+func tracedRun(bench string, opt cdf.Options, tr core.Tracer) (*core.Core, error) {
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	w, err := workload.ByName(bench)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cdfsim:", err)
-		os.Exit(1)
+		return nil, err
 	}
 	p, m := w.Build()
-	cfg := core.Default()
-	cfg.Mode = core.Mode(opt.Mode)
-	cfg.MaxRetired = opt.MaxUops
-	if cfg.MaxRetired == 0 {
-		cfg.MaxRetired = cdf.DefaultMaxUops
-	}
-	cfg.MaxCycles = cfg.MaxRetired * 100
-	cfg.SlowPath = opt.SlowPath
-	if opt.ROBSize > 0 {
-		cfg = core.ScaleWindow(cfg, opt.ROBSize)
-	}
-	if opt.Seed != 0 {
-		cfg.Seed = opt.Seed
-	}
-	c, err := core.New(cfg, p, m)
+	c, err := core.New(opt.CoreConfig(), p, m)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "cdfsim:", err)
-		os.Exit(1)
+		return nil, err
 	}
-	tr := &core.TextTracer{W: os.Stdout, MaxEvents: n}
+	if opt.Oracle {
+		oracle.Attach(c, p, m)
+	}
 	c.SetTracer(tr)
 	if _, err := harness.Exec(context.Background(), c, harness.Options{Timeout: opt.Timeout, Seed: opt.Seed}); err != nil {
-		fmt.Fprintln(os.Stderr, "cdfsim:", err)
-		printFailureDetail(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
+	return c, nil
 }
 
 // printFailureDetail expands a failed run's error: the per-field mismatch

@@ -15,9 +15,9 @@ import (
 	"fmt"
 	"os"
 
+	"cdf"
 	"cdf/internal/core"
 	"cdf/internal/emu"
-	"cdf/internal/front"
 	"cdf/internal/harness"
 	"cdf/internal/profiling"
 	"cdf/internal/units"
@@ -64,28 +64,17 @@ func main() {
 	}
 
 	// Train the CDF machinery so the Critical Uop Cache holds this
-	// kernel's traces, then read the masks out for annotation.
-	p, m := w.Build()
-	cfg := core.Default()
-	cfg.Mode = core.ModeCDF
-	cfg.MaxRetired = uint64(train)
-	cfg.MaxCycles = uint64(train) * 100
-	if *frontend {
-		// Train under the timed frontend so the criticality marks reflect
-		// the instruction-supply behaviour the flags describe.
-		fc := front.Default()
-		fc.PerfectL1I = *perfectL1I
-		fc.FDIP = *fdip
-		fc.ShadowBTB = *shadowBTB
-		cfg.Front = fc
-		if *fdip {
-			cfg.Mem.L1IMSHRs = 16
-		}
-	} else if *perfectL1I || *fdip || *shadowBTB {
-		fmt.Fprintln(os.Stderr, "cdftrace: -perfect-l1i/-fdip/-shadow-btb require -frontend")
+	// kernel's traces, then read the masks out for annotation. The
+	// frontend flags train under the timed frontend, so the criticality
+	// marks reflect the instruction-supply behaviour they describe.
+	opt := cdf.Options{Mode: cdf.ModeCDF, MaxUops: uint64(train),
+		Frontend: *frontend, PerfectL1I: *perfectL1I, FDIP: *fdip, ShadowBTB: *shadowBTB}
+	if err := opt.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "cdftrace:", err)
 		os.Exit(1)
 	}
-	c, err := core.New(cfg, p, m)
+	p, m := w.Build()
+	c, err := core.New(opt.CoreConfig(), p, m)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdftrace:", err)
 		os.Exit(1)

@@ -3,9 +3,9 @@ package cdf
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cdf/internal/core"
@@ -505,55 +505,23 @@ func FrontSupply(o SuiteOptions) ([]FrontRow, error) {
 			}
 		}
 	}
-	type caseKey struct {
-		bench   string
-		variant int
-	}
-	keys := make([]caseKey, 0, len(benches)*len(frontVariants))
+	cases := make([]sweepCase, 0, len(benches)*len(frontVariants))
 	for _, b := range benches {
-		for v := range frontVariants {
-			keys = append(keys, caseKey{b, v})
+		for _, v := range frontVariants {
+			opt := o.runOptions()
+			opt.Mode = ModeBaseline
+			v.mut(&opt)
+			cases = append(cases, sweepCase{b, opt})
 		}
 	}
-	results := make(map[caseKey]Result, len(keys))
-	var mu sync.Mutex
-	errs := harness.Pool(o.ctx(), o.Jobs, len(keys), func(ctx context.Context, i int) error {
-		opt := o.runOptions()
-		opt.Mode = ModeBaseline
-		frontVariants[keys[i].variant].mut(&opt)
-		res, _, err := runCase(ctx, keys[i].bench, opt, o)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		results[keys[i]] = res
-		mu.Unlock()
-		return nil
-	})
-	var sweep *SweepError
-	for i, err := range errs {
-		if err != nil {
-			if sweep == nil {
-				sweep = &SweepError{}
-			}
-			sweep.Failures = append(sweep.Failures, RunError{keys[i].bench, ModeBaseline, err})
-		}
-	}
+	done, sweep := runCases(o.ctx(), cases, o)
 	rows := make([]FrontRow, 0, len(benches))
-	for _, b := range benches {
-		complete := true
-		for v := range frontVariants {
-			if _, ok := results[caseKey{b, v}]; !ok {
-				complete = false
-			}
-		}
-		if !complete {
+	for i, b := range benches {
+		r := done[i*len(frontVariants):][:len(frontVariants)]
+		if slices.Contains(r, nil) {
 			continue
 		}
-		timing := results[caseKey{b, 0}]
-		fdip := results[caseKey{b, 1}]
-		shadow := results[caseKey{b, 2}]
-		perfect := results[caseKey{b, 3}]
+		timing, fdip, shadow, perfect := r[0], r[1], r[2], r[3]
 		row := FrontRow{
 			Benchmark:  b,
 			TimingIPC:  timing.IPC,

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"cdf/internal/cdf"
 	"cdf/internal/front"
@@ -32,19 +33,27 @@ const (
 	ModeHybrid
 )
 
+// modeNames is the one table of machine-mode names, indexed by Mode:
+// String prints it and ParseMode reads it.
+var modeNames = [...]string{ModeBaseline: "baseline", ModeCDF: "cdf", ModePRE: "pre", ModeHybrid: "hybrid"}
+
 // String implements fmt.Stringer.
 func (m Mode) String() string {
-	switch m {
-	case ModeBaseline:
-		return "baseline"
-	case ModeCDF:
-		return "cdf"
-	case ModePRE:
-		return "pre"
-	case ModeHybrid:
-		return "hybrid"
+	if m >= 0 && int(m) < len(modeNames) {
+		return modeNames[m]
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
+}
+
+// ParseMode maps a mode name ("baseline", "cdf", "pre", "hybrid") back to
+// its Mode.
+func ParseMode(name string) (Mode, error) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want %s)", name, strings.Join(modeNames[:], "|"))
 }
 
 // Config describes the simulated machine (Table 1 defaults via Default).

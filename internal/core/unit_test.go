@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"cdf/internal/emu"
@@ -267,5 +268,25 @@ func TestCDFExitDrain(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseModeRoundTrip pins the mode-name table: every mode parses back
+// from its own name, and an unknown name is an error listing the valid ones.
+func TestParseModeRoundTrip(t *testing.T) {
+	for _, m := range []Mode{ModeBaseline, ModeCDF, ModePRE, ModeHybrid} {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	_, err := ParseMode("warp")
+	if err == nil {
+		t.Fatal("ParseMode accepted an unknown name")
+	}
+	for _, name := range []string{"warp", "baseline", "cdf", "pre", "hybrid"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("ParseMode error %q does not mention %q", err, name)
+		}
 	}
 }

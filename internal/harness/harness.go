@@ -56,6 +56,17 @@ const (
 	ReasonDivergence  = "divergence"
 )
 
+// FailureReason is the failure class of a failed run as the sweep journal
+// and the worker protocol record it: the *SimError's Reason, or "error"
+// for anything else (an unknown benchmark, invalid options).
+func FailureReason(err error) string {
+	var se *SimError
+	if errors.As(err, &se) {
+		return se.Reason
+	}
+	return "error"
+}
+
 // Sentinel targets for errors.Is: callers match failure classes
 // programmatically instead of string-sniffing SimError.Reason.
 var (

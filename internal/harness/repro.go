@@ -33,16 +33,6 @@ type Repro struct {
 	Note     string          `json:"note"`   // human-readable failure summary
 }
 
-// parseMode maps a mode name back to core.Mode.
-func parseMode(s string) (core.Mode, error) {
-	for _, m := range []core.Mode{core.ModeBaseline, core.ModeCDF, core.ModePRE, core.ModeHybrid} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("harness: unknown mode %q", s)
-}
-
 // WriteRepro serializes the case and failure context into dir (created if
 // absent) and returns the artifact path. The filename is deterministic in
 // the seed and failure class, so repeated shrinks of the same failure
@@ -97,7 +87,7 @@ func LoadRepro(path string) (c Case, faultName, reason string, err error) {
 	if r.Version != ReproVersion {
 		return Case{}, "", "", fmt.Errorf("harness: repro %s: version %d, want %d", path, r.Version, ReproVersion)
 	}
-	mode, err := parseMode(r.Mode)
+	mode, err := core.ParseMode(r.Mode)
 	if err != nil {
 		return Case{}, "", "", fmt.Errorf("harness: repro %s: %w", path, err)
 	}

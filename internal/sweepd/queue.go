@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cdf"
+	"cdf/internal/core"
 	"cdf/internal/sweepstore"
 )
 
@@ -69,8 +70,8 @@ func (sp *JobSpec) normalize() error {
 		sp.Modes = []string{"baseline", "cdf", "pre"}
 	}
 	for _, m := range sp.Modes {
-		if _, err := parseMode(m); err != nil {
-			return err
+		if _, err := core.ParseMode(m); err != nil {
+			return fmt.Errorf("sweepd: %w", err)
 		}
 	}
 	if len(sp.Seeds) == 0 {
@@ -81,30 +82,26 @@ func (sp *JobSpec) normalize() error {
 			return fmt.Errorf("sweepd: seed 0 is reserved (it means \"randomize\" elsewhere); use an explicit seed")
 		}
 	}
-	if !sp.Frontend && (sp.PerfectL1I || sp.FDIP || sp.ShadowBTB) {
-		return fmt.Errorf("sweepd: perfect_l1i/fdip/shadow_btb require frontend")
-	}
-	if sp.FDIP && sp.PerfectL1I {
-		return fmt.Errorf("sweepd: fdip is meaningless with perfect_l1i")
-	}
 	if sp.TimeoutSec < 0 || sp.DeadlineSec < 0 {
 		return fmt.Errorf("sweepd: negative time bound")
 	}
 	return nil
 }
 
-func parseMode(name string) (cdf.Mode, error) {
-	switch name {
-	case "baseline":
-		return cdf.ModeBaseline, nil
-	case "cdf":
-		return cdf.ModeCDF, nil
-	case "pre":
-		return cdf.ModePRE, nil
-	case "hybrid":
-		return cdf.ModeHybrid, nil
+// validate is the admission check: normalize, then cdf.Options.Validate
+// on every expanded case, so a spec whose cases could only fail is
+// rejected instead of journaled. Recovery runs normalize alone and so
+// never rejects a job an earlier server admitted.
+func (sp *JobSpec) validate() error {
+	if err := sp.normalize(); err != nil {
+		return err
 	}
-	return 0, fmt.Errorf("sweepd: unknown mode %q (want baseline|cdf|pre|hybrid)", name)
+	for _, c := range sp.cases() {
+		if err := c.Opt.Validate(); err != nil {
+			return fmt.Errorf("sweepd: %w", err)
+		}
+	}
+	return nil
 }
 
 // Case is one expanded (kernel, config, seed) point.
@@ -120,7 +117,7 @@ func (sp JobSpec) cases() []Case {
 	var out []Case
 	for _, b := range sp.Benchmarks {
 		for _, m := range sp.Modes {
-			mode, _ := parseMode(m) // validated by normalize
+			mode, _ := core.ParseMode(m) // validated by normalize
 			for _, seed := range sp.Seeds {
 				out = append(out, Case{Bench: b, Opt: cdf.Options{
 					Mode:       mode,
@@ -396,16 +393,11 @@ func recoverJobs(store *sweepstore.Store, breaker *Breaker) (jobs []*Job, nextID
 func rebuildRows(store *sweepstore.Store, j *Job) {
 	for i, c := range j.Cases {
 		row := Row{Bench: c.Bench, Mode: c.Opt.Mode.String(), Seed: c.Opt.Seed}
-		key, err := cdf.CaseKey(c.Bench, c.Opt)
-		if err == nil {
-			if payload, ok := store.Get(key); ok {
-				var res cdf.Result
-				if json.Unmarshal(payload, &res) == nil && res.Benchmark == c.Bench &&
-					res.Mode == c.Opt.Mode && res.StopReason == cdf.StopCompleted {
-					row.Status = "done"
-					row.FromCache = true
-					row.Result = &res
-				}
+		if key, err := cdf.CaseKey(c.Bench, c.Opt); err == nil {
+			if res, ok := cdf.CachedResult(store, key, c.Bench, c.Opt.Mode); ok {
+				row.Status = "done"
+				row.FromCache = true
+				row.Result = &res
 			}
 		}
 		if row.Status == "" {

@@ -119,7 +119,7 @@ func (s *Service) Start() {
 	go s.run()
 }
 
-// Submit admits one job: validates nothing (normalize the spec first),
+// Submit admits one job: validates nothing (validate the spec first),
 // journals the admission durably, and queues it. Returns ErrDraining or
 // ErrQueueFull when the job was not admitted.
 func (s *Service) Submit(spec JobSpec) (*Job, error) {
@@ -409,7 +409,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job spec: " + err.Error()})
 		return
 	}
-	if err := spec.normalize(); err != nil {
+	if err := spec.validate(); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}

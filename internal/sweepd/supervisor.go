@@ -24,10 +24,6 @@ import (
 // wedged and killing it.
 const DefaultHeartbeatTimeout = 15 * time.Second
 
-// ErrQuarantined marks a case rejected without dispatch because its
-// circuit breaker is open after repeated terminal failures.
-var ErrQuarantined = errors.New("sweepd: case quarantined (circuit breaker open after repeated failures)")
-
 // SupervisorConfig configures the subprocess worker pool.
 type SupervisorConfig struct {
 	// Cmd is the worker argv, e.g. {"cdfsim", "-worker", "-chaos", spec}.
@@ -71,10 +67,11 @@ type SupervisorStats struct {
 // Supervisor runs cases on a bounded pool of subprocess workers with
 // process-level fault isolation: a worker that panics is reported and
 // reused; a worker that dies or wedges is killed and replaced, and its
-// case is retried on a fresh worker under the same
-// sweepstore.Retryable/backoff policy the in-process sweep uses.
+// case is retried on a fresh worker by the same cdf.CaseExecutor the
+// in-process sweep uses.
 type Supervisor struct {
 	cfg       SupervisorConfig
+	exec      cdf.CaseExecutor
 	hbTimeout time.Duration
 	slots     chan *slot
 	nextReqID atomic.Int64
@@ -115,7 +112,9 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	if hb <= 0 {
 		hb = DefaultHeartbeatTimeout
 	}
-	s := &Supervisor{cfg: cfg, hbTimeout: hb, slots: make(chan *slot, n)}
+	s := &Supervisor{cfg: cfg, hbTimeout: hb, slots: make(chan *slot, n),
+		exec: cdf.CaseExecutor{Store: cfg.Store, Retries: cfg.Retries, Backoff: cfg.Backoff,
+			Breaker: cfg.Breaker, Logf: cfg.Logf}}
 	for i := 0; i < n; i++ {
 		s.slots <- &slot{}
 	}
@@ -144,65 +143,22 @@ func (s *Supervisor) logf(format string, args ...any) {
 }
 
 // RunCase executes one case end to end under the service's durability,
-// retry, and quarantine policy: serve a verified cache hit without
-// simulating; otherwise dispatch to a subprocess worker, retrying
-// transient failures (worker death, heartbeat loss, in-worker panics,
-// timeouts, watchdog trips — everything sweepstore.Retryable accepts)
-// with backoff up to the retry budget, failing fast on deterministic
-// failures, and persisting the completed result durably before returning.
+// retry, and quarantine policy (cdf.CaseExecutor), each attempt
+// dispatched to a subprocess worker. Worker death, heartbeat loss and
+// in-worker panics come back as *harness.SimError failures that
+// sweepstore.Retryable classifies exactly like their in-process
+// equivalents.
 func (s *Supervisor) RunCase(ctx context.Context, bench string, opt cdf.Options) (cdf.Result, bool, error) {
-	key, err := cdf.CaseKey(bench, opt)
-	if err != nil {
-		return cdf.Result{}, false, err
-	}
-	if res, ok := s.cachedResult(key, bench, opt.Mode); ok {
-		return res, true, nil
-	}
+	// Worker chaos keys on the stable case name, not the cache key (see
+	// DESIGN.md §11).
 	caseID := bench + "/" + opt.Mode.String()
-	if !s.cfg.Breaker.Allow(key) {
+	res, fromCache, err := s.exec.Run(ctx, bench, opt, func(ctx context.Context, _ string, n int) (cdf.Result, error) {
+		return s.attempt(ctx, request{ID: s.nextReqID.Add(1), Bench: bench, Opt: opt, CaseID: caseID, Attempt: n})
+	})
+	if errors.Is(err, cdf.ErrQuarantined) {
 		s.quarantined.Add(1)
-		return cdf.Result{}, false, fmt.Errorf("%w: %s", ErrQuarantined, caseID)
 	}
-
-	bo := s.cfg.Backoff
-	if bo.Seed == 0 {
-		bo.Seed = opt.Seed
-	}
-	for attempt := 0; ; attempt++ {
-		res, err := s.attempt(ctx, request{
-			ID:      s.nextReqID.Add(1),
-			Bench:   bench,
-			Opt:     opt,
-			CaseID:  caseID,
-			Attempt: attempt,
-		})
-		if err == nil {
-			if perr := s.persist(key, res, attempt); perr != nil {
-				return cdf.Result{}, false, fmt.Errorf("sweepd: %s: result computed but not persisted: %w", caseID, perr)
-			}
-			s.cfg.Breaker.Success(key)
-			return res, false, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			// Canceled or past the job deadline: the case did not fail,
-			// the sweep stopped. Not journaled, not counted by the
-			// breaker.
-			return cdf.Result{}, false, cerr
-		}
-		if !sweepstore.Retryable(err) || attempt >= s.cfg.Retries {
-			_ = s.cfg.Store.Fail(sweepstore.Record{Key: key, Bench: bench, Mode: opt.Mode.String(),
-				Status: sweepstore.StatusFailed, Reason: reasonOf(err), Attempts: attempt + 1})
-			if s.cfg.Breaker.Failure(key) {
-				s.logf("sweepd: %s: circuit opened after repeated terminal failures", caseID)
-			}
-			return cdf.Result{}, false, err
-		}
-		s.cfg.Store.NoteRetry()
-		s.logf("sweepd: %s attempt %d failed (%v); retrying", caseID, attempt, err)
-		if serr := bo.Sleep(ctx, caseID, attempt); serr != nil {
-			return cdf.Result{}, false, err
-		}
-	}
+	return res, fromCache, err
 }
 
 // attempt runs one dispatch on one worker slot: acquire a seat, ensure a
@@ -317,43 +273,6 @@ func stallError(req request) error {
 	return &harness.SimError{Reason: harness.ReasonWatchdog,
 		Cause: fmt.Errorf("sweepd: %s attempt %d: worker heartbeat lost", req.CaseID, req.Attempt),
 		Seed:  req.Opt.Seed}
-}
-
-// reasonOf maps a terminal error to the journal's failure class.
-func reasonOf(err error) string {
-	var se *harness.SimError
-	if errors.As(err, &se) {
-		return se.Reason
-	}
-	return "error"
-}
-
-// cachedResult fetches and decodes a verified cache entry, mirroring the
-// in-process sweep's checks: the payload must be the requested case's
-// completed result.
-func (s *Supervisor) cachedResult(key, bench string, mode cdf.Mode) (cdf.Result, bool) {
-	payload, ok := s.cfg.Store.Get(key)
-	if !ok {
-		return cdf.Result{}, false
-	}
-	var res cdf.Result
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return cdf.Result{}, false
-	}
-	if res.Benchmark != bench || res.Mode != mode || res.StopReason != cdf.StopCompleted {
-		return cdf.Result{}, false
-	}
-	return res, true
-}
-
-// persist caches and journals one completed case durably.
-func (s *Supervisor) persist(key string, res cdf.Result, attempt int) error {
-	payload, err := json.Marshal(res)
-	if err != nil {
-		return err
-	}
-	return s.cfg.Store.Put(key, payload, sweepstore.Record{Bench: res.Benchmark,
-		Mode: res.Mode.String(), Status: sweepstore.StatusDone, Attempts: attempt + 1})
 }
 
 // spawn starts one worker process and its stdout reader.

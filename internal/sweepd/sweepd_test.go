@@ -469,7 +469,8 @@ func TestLoadShedding(t *testing.T) {
 	}
 
 	// Bad specs are 400, not queued.
-	for _, bad := range []string{`{"modes":["warp"]}`, `{"benchmarks":["nope"]}`, `not json`} {
+	for _, bad := range []string{`{"modes":["warp"]}`, `{"benchmarks":["nope"]}`, `not json`,
+		`{"warmup_uops":100000}`, `{"fdip":true}`} {
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatalf("bad spec: %v", err)

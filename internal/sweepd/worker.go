@@ -10,11 +10,14 @@
 //   - worker.go — the stdin/stdout line protocol a worker process speaks
 //     (`cdfsim -worker`): one JSON request per case, heartbeat lines while
 //     simulating, one result or fail line per case.
-//   - supervisor.go — spawns and monitors workers, detects death and
-//     heartbeat loss, classifies failures via sweepstore.Retryable, and
-//     retries with capped-exponential backoff or quarantines via the
-//     circuit breaker; completed cases are persisted through the same
-//     content-addressed sweepstore cache the CLIs use.
+//   - supervisor.go — spawns and monitors workers and turns death and
+//     heartbeat loss into retryable *harness.SimError failures. Each case
+//     runs through cdf.CaseExecutor, the executor the in-process sweeps
+//     use: cache hit, breaker check, attempts classified by
+//     sweepstore.Retryable with capped-exponential backoff, persist
+//     before return, a journaled failure record on terminal failure.
+//     Cancellation (drain, stop, job deadline) is not a failure: such a
+//     case is neither journaled nor charged to the breaker.
 //   - breaker.go — the per-case circuit breaker.
 //   - queue.go — jobs: specs, case expansion, journal-backed recovery.
 //   - server.go — the HTTP API, admission control (429 load shedding),
@@ -26,7 +29,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -146,29 +148,18 @@ func serveCase(w *bufio.Writer, req request, chaos *harness.Chaos, hbEvery time.
 	}
 }
 
-// runOne executes the case itself, converting every failure — injected
-// chaos panics included — into a "fail" response carrying the harness
-// failure class, so the supervisor can classify it with
-// sweepstore.Retryable exactly as the in-process sweep path does.
-func runOne(req request, chaos *harness.Chaos) (resp response) {
-	defer func() {
-		if r := recover(); r != nil {
-			resp = response{Type: "fail", ID: req.ID, Reason: harness.ReasonPanic,
-				Msg: fmt.Sprint(r)}
-		}
-	}()
+// runOne executes the case itself through cdf.RunAttempt — the same
+// in-process attempt the sweep path uses, chaos panics recovered into a
+// *harness.SimError — and converts a failure into a "fail" response
+// carrying its harness failure class, which the supervisor classifies
+// with sweepstore.Retryable exactly as the in-process path does.
+func runOne(req request, chaos *harness.Chaos) response {
 	if d, ok := chaos.SlowWorker(req.CaseID, req.Attempt); ok {
 		time.Sleep(d) // heartbeats keep flowing: slow, not wedged
 	}
-	chaos.BeforeCase(req.CaseID, req.Attempt)
-	res, err := cdf.RunContext(context.Background(), req.Bench, req.Opt)
+	res, err := cdf.RunAttempt(context.Background(), req.Bench, req.Opt, chaos, req.CaseID, req.Attempt)
 	if err != nil {
-		reason := "error"
-		var se *harness.SimError
-		if errors.As(err, &se) {
-			reason = se.Reason
-		}
-		return response{Type: "fail", ID: req.ID, Reason: reason, Msg: err.Error()}
+		return response{Type: "fail", ID: req.ID, Reason: harness.FailureReason(err), Msg: err.Error()}
 	}
 	return response{Type: "result", ID: req.ID, Result: &res}
 }

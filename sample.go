@@ -335,7 +335,7 @@ func (s *sampler) finishEarly() {
 // Validate with Sampling enabled.
 func runSampled(ctx context.Context, benchmark string, w workload.Workload, opt Options) (Result, error) {
 	prg, m := w.Build()
-	cfg := opt.coreConfig()
+	cfg := opt.CoreConfig()
 	samp := opt.Sampling.effective()
 
 	icfg := cfg
