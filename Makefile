@@ -87,13 +87,14 @@ shellcheck:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimSpeed$$' -benchmem -count 1 .
 
-# One quick iteration per (mode, kernel) pair, then the per-cycle
-# zero-allocation pin: a regression that makes the steady-state loop
-# allocate fails this target, not just slows it down. CI runs this on every
-# push and uploads bench-smoke.txt as the build's benchmark artifact.
+# One quick iteration per (mode, kernel) pair, then the allocation pins:
+# zero allocations per steady-state cycle, and under 4 MB for a whole
+# second 50k-uop run, in every mode. A regression that makes the loop or a
+# run allocate fails this target, not just slows it down. CI runs this on
+# every push and uploads bench-smoke.txt as the build's benchmark artifact.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimSpeed$$' -benchtime 1x -benchmem . | tee bench-smoke.txt
-	$(GO) test ./internal/core -run TestSteadyStateAllocs -count 1
+	$(GO) test ./internal/core -run 'TestSteadyStateAllocs|TestRunAllocBudget' -count 1
 
 # The benchmark in bench/ is a separate module (cdf/bench) that the root
 # `go test ./...` does not reach; vet and test it so a root API change that

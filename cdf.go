@@ -375,6 +375,8 @@ func RunContext(ctx context.Context, benchmark string, opt Options) (Result, err
 	if err != nil {
 		return Result{}, fmt.Errorf("cdf: %s/%s: %w", benchmark, opt.Mode, err)
 	}
+	// A normal finish: the harness's goroutine is done with the core.
+	c.Recycle()
 	if c.Retired() < cfg.MaxRetired {
 		return Result{}, fmt.Errorf("cdf: %s/%s retired only %d/%d uops in %d cycles",
 			benchmark, opt.Mode, c.Retired(), cfg.MaxRetired, c.Cycles())

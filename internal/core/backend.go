@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"cdf/internal/isa"
 	"cdf/internal/stats"
@@ -111,7 +110,7 @@ func (c *Core) allocCritical(budget int) int {
 			}
 			break
 		}
-		if len(c.rs) >= c.cfg.RSSize || c.rsCrit >= c.critRSLimit() {
+		if c.rsLen >= c.cfg.RSSize || c.rsCrit >= c.critRSLimit() {
 			c.st.RSFullCycles++
 			break
 		}
@@ -237,7 +236,7 @@ func (c *Core) allocRegular(budget int) {
 			}
 			break
 		}
-		if len(c.rs) >= c.cfg.RSSize {
+		if c.rsLen >= c.cfg.RSSize {
 			c.st.RSFullCycles++
 			break
 		}
@@ -318,9 +317,10 @@ func (c *Core) dispatch(e *entry) {
 	} else {
 		c.robNon.push(e)
 	}
+	c.fig1Count(e, 1)
 	e.state = stateWaiting
 	e.inRS = true
-	c.insertRS(e)
+	c.rsLen++
 	if e.critical {
 		c.rsCrit++
 	}
@@ -346,17 +346,6 @@ func (c *Core) dispatch(e *entry) {
 	}
 }
 
-// insertRS keeps the RS slice ordered by program order so the scheduler's
-// oldest-first scan is a linear pass.
-func (c *Core) insertRS(e *entry) {
-	i := sort.Search(len(c.rs), func(i int) bool {
-		return !c.rs[i].before(e)
-	})
-	c.rs = append(c.rs, nil)
-	copy(c.rs[i+1:], c.rs[i:])
-	c.rs[i] = e
-}
-
 // --- issue / execute (§3.5 "Issue and Dispatch") ---
 
 // issue selects ready uops from the RS — oldest first, critical preferred —
@@ -365,29 +354,32 @@ func (c *Core) issue() {
 	var ports [isa.NumPortClasses]int
 	copy(ports[:], c.cfg.Ports[:])
 	budget := c.cfg.Width
+	sections := [2][]*entry{c.robCrit.items, c.robNon.items}
 
 	// Store address generation: STA fires as soon as the base register is
 	// ready, independent of the data, enabling early violation detection
-	// and forwarding.
-	for _, e := range c.rs {
-		if e.op.IsStore() && !e.addrReady && !e.wrongPath && c.rf.isReady(e.src1) {
-			e.addr = e.dyn.Addr
-			e.addrReady = true
-			c.work = true
-			c.checkStoreViolation(e)
+	// and forwarding. The violation check keeps the program-order minimum,
+	// so the scan order does not matter.
+	for _, sec := range sections {
+		for _, e := range sec {
+			if e.inRS && e.op.IsStore() && !e.addrReady && !e.wrongPath && c.rf.isReady(e.src1) {
+				e.addr = e.dyn.Addr
+				e.addrReady = true
+				c.work = true
+				c.checkStoreViolation(e)
+			}
 		}
 	}
 
-	// Two passes: critical entries first, then the rest; both oldest-first
-	// (the RS slice is program-ordered).
-	for pass := 0; pass < 2 && budget > 0; pass++ {
-		wantCritical := pass == 0
-		for i := 0; i < len(c.rs) && budget > 0; i++ {
-			e := c.rs[i]
-			if e.critical != wantCritical {
-				continue
+	// Two passes: critical entries first, then the rest; both oldest-first.
+	// The RS is the ROB entries still marked inRS, and each ROB section is
+	// program-ordered and holds only its own criticality.
+	for _, sec := range sections {
+		for _, e := range sec {
+			if budget == 0 {
+				return
 			}
-			if !c.readyToIssue(e) {
+			if !e.inRS || !c.readyToIssue(e) {
 				continue
 			}
 			cls := e.op.Port()
@@ -402,10 +394,10 @@ func (c *Core) issue() {
 			ports[cls]--
 			budget--
 			c.work = true
-			c.traceEvent("issue", e, e.op.String())
+			if c.tracer != nil {
+				c.traceEvent("issue", e, e.op.String())
+			}
 			c.execute(e)
-			c.removeRS(i)
-			i--
 		}
 	}
 }
@@ -451,6 +443,7 @@ func (c *Core) loadBlockedByStore(ld *entry) (blocked bool, fwd *entry) {
 func (c *Core) execute(e *entry) {
 	e.state = stateExecuting
 	e.inRS = false
+	c.rsLen--
 	if e.critical {
 		c.rsCrit--
 	}
@@ -492,13 +485,6 @@ func (c *Core) execute(e *entry) {
 		e.doneAt = c.now + uint64(e.op.Latency())
 	}
 	c.exec = append(c.exec, e)
-}
-
-// removeRS drops index i from the RS slice.
-func (c *Core) removeRS(i int) {
-	copy(c.rs[i:], c.rs[i+1:])
-	c.rs[len(c.rs)-1] = nil
-	c.rs = c.rs[:len(c.rs)-1]
 }
 
 // checkStoreViolation scans for younger loads that already read the store's
@@ -632,6 +618,7 @@ func (c *Core) retireEntry(e *entry) {
 		}
 		c.robNon.popHead()
 	}
+	c.fig1Count(e, -1)
 
 	if e.op.IsLoad() {
 		if c.lq.head() != e {
@@ -671,7 +658,9 @@ func (c *Core) retireEntry(e *entry) {
 	}
 
 	c.st.RetiredUops++
-	c.traceEvent("retire", e, e.op.String())
+	if c.tracer != nil {
+		c.traceEvent("retire", e, e.op.String())
+	}
 	if e.critical {
 		c.st.CriticalUopsRetired++
 	}
@@ -721,19 +710,16 @@ func (c *Core) collectFlush(seq uint64, sub uint32, inclusive bool) {
 		}
 	})
 
-	// RS and exec list.
-	keepRS := c.rs[:0]
-	for _, e := range c.rs {
-		if drop(e) {
+	// The RS and Fig. 1 counts lose the removed ROB entries.
+	for _, e := range removed {
+		c.fig1Count(e, -1)
+		if e.inRS {
+			c.rsLen--
 			if e.critical {
 				c.rsCrit--
 			}
-		} else {
-			keepRS = append(keepRS, e)
 		}
 	}
-	clearTail(c.rs, len(keepRS))
-	c.rs = keepRS
 	keepEx := c.exec[:0]
 	for _, e := range c.exec {
 		if !drop(e) {

@@ -41,16 +41,21 @@ type Core struct {
 	rf *regFile
 
 	// Windows. robCrit/robNon are the two ROB sections; lq/sq hold memory
-	// ops in program order with per-section occupancy counts.
+	// ops in program order with per-section occupancy counts. The RS is
+	// the ROB entries with inRS set, counted by rsLen and rsCrit.
 	robCrit fifo
 	robNon  fifo
 	lq      fifo
 	sq      fifo
 	lqCrit  int
 	sqCrit  int
-	rs      []*entry
+	rsLen   int
 	rsCrit  int
 	exec    []*entry // issued, completing at doneAt
+
+	// Fig. 1 composition of the ROB (see fig1Count): correct-path entries
+	// on the critical path and off it.
+	fig1Crit, fig1Non int
 
 	// Dynamic partitions (active in ModeCDF).
 	robPart *cdf.Partition
@@ -106,7 +111,11 @@ type Core struct {
 	// work records whether the current cycle changed machine state beyond
 	// the per-cycle counters the idle skip replicates (see skip.go).
 	work bool
-	// skipDelta holds the observed idle cycle's counter deltas (trySkip).
+	// The observed cycle's counters, signature and partition stall counts
+	// (filled only when Cycle observes), and its counter deltas (trySkip).
+	obsStats  stats.Stats
+	obsSig    coreSig
+	obsParts  [3]partSnap
 	skipDelta stats.Stats
 
 	// Criticality machinery.
@@ -355,13 +364,10 @@ func (c *Core) Cycle() {
 		return
 	}
 	observe := !c.work && c.skipEligible()
-	var prevStats stats.Stats
-	var prevSig coreSig
-	var prevParts [3]partSnap
 	if observe {
-		prevStats = *c.st
-		prevSig = c.sig()
-		prevParts = c.partSnaps()
+		c.obsStats = *c.st
+		c.obsSig = c.sig()
+		c.obsParts = c.partSnaps()
 	}
 	c.work = false
 
@@ -394,7 +400,7 @@ func (c *Core) Cycle() {
 		c.verifySkipPrediction()
 	}
 	if observe && !c.work && !c.finished {
-		c.trySkip(&prevStats, prevSig, prevParts)
+		c.trySkip()
 	}
 }
 
@@ -447,7 +453,7 @@ func (c *Core) endOfCycle() {
 		if head != nil && head.op.IsLoad() && head.state != stateDone && head.llcMiss {
 			inStall = true
 			c.st.FullWindowStallCycles++
-			c.sampleStallROB()
+			c.st.SampleStallROB(c.fig1Crit, c.fig1Non)
 			// Per-section stall attribution drives the dynamic partitions.
 			if c.robPart != nil {
 				c.robPart.NoteStall(head.critical)
@@ -463,7 +469,7 @@ func (c *Core) endOfCycle() {
 					if c.cfg.Mode == ModePRE {
 						c.loadCCT.Update(head.dyn.PC, true)
 					}
-					free := c.cfg.RSSize - len(c.rs)
+					free := c.cfg.RSSize - c.rsLen
 					if f := c.rf.freeCount(); f < free {
 						free = f // runahead runs on free RS *and* PRF entries
 					}
@@ -546,28 +552,30 @@ func (c *Core) oldestLiveSeq() uint64 {
 	return oldest
 }
 
-// sampleStallROB records a Fig. 1 occupancy sample: how many ROB entries
-// hold critical-path uops (everything in the critical section, plus
-// non-critical-section entries the mask machinery marks).
-func (c *Core) sampleStallROB() {
-	crit, non := 0, 0
-	for _, e := range c.robCrit.items {
-		if !e.wrongPath {
-			crit++
-		}
+// fig1Count adds d to e's class in the Fig. 1 ROB composition: critical
+// path (everything in the critical section, plus non-critical-section
+// entries the mask machinery marks) or not. Modelled wrong-path slots are
+// not program instructions; Fig. 1 counts the real instruction mix. All
+// three flags are fixed at fetch, so entering and leaving the ROB are the
+// only updates.
+func (c *Core) fig1Count(e *entry, d int) {
+	switch {
+	case e.wrongPath:
+	case e.critical || e.obsCritical:
+		c.fig1Crit += d
+	default:
+		c.fig1Non += d
 	}
-	for _, e := range c.robNon.items {
-		switch {
-		case e.wrongPath:
-			// Modelled wrong-path slots are not program instructions;
-			// Fig. 1 counts the real instruction mix.
-		case e.critical || e.obsCritical:
-			crit++
-		default:
-			non++
-		}
+}
+
+// Recycle returns a finished core's correct-path stream pages to a
+// process-wide pool for the next core to reuse. Call it only from the
+// goroutine that ran the core, after a normal finish; the core must not
+// run again. On an unfinished core it does nothing.
+func (c *Core) Recycle() {
+	if c.finished {
+		c.strm.recycle()
 	}
-	c.st.SampleStallROB(crit, non)
 }
 
 // errInternal wraps invariant violations; used by panics in impossible

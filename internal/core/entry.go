@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"cdf/internal/branch"
 	"cdf/internal/emu"
 	"cdf/internal/isa"
@@ -120,68 +122,17 @@ func (e *entry) before(f *entry) bool {
 // hasDst reports whether the entry writes a physical register.
 func (e *entry) hasDst() bool { return e.dstPhys >= 0 }
 
-// fifo is a program-ordered list of in-flight entries used for the ROB
+// fifo is a program-ordered queue of in-flight entries used for the ROB
 // sections and the LQ/SQ sections. Entries are appended in allocation order
 // (which is program order within a section) and removed from the front at
 // retire or anywhere by flush.
-//
-// The representation is a sliding window over a backing array: items is
-// buf[head:], popHead just advances head, and push compacts the window
-// back to the front of buf only when append would grow it — so both ends
-// are amortized O(1) with zero steady-state allocation, and readers can
-// keep iterating the items slice directly.
-type fifo struct {
-	items []*entry // the live window: always buf[off:]
-	buf   []*entry
-	off   int
-}
+type fifo struct{ queue[*entry] }
 
-func (f *fifo) len() int    { return len(f.items) }
-func (f *fifo) empty() bool { return len(f.items) == 0 }
 func (f *fifo) head() *entry {
 	if len(f.items) == 0 {
 		return nil
 	}
 	return f.items[0]
-}
-func (f *fifo) push(e *entry) {
-	if len(f.buf) == cap(f.buf) && f.off > 0 {
-		n := copy(f.buf, f.items)
-		clearTail(f.buf, n)
-		f.buf = f.buf[:n]
-		f.off = 0
-	}
-	f.buf = append(f.buf, e)
-	f.items = f.buf[f.off:]
-}
-func (f *fifo) popHead() *entry {
-	e := f.items[0]
-	f.buf[f.off] = nil
-	f.off++
-	f.items = f.buf[f.off:]
-	if len(f.items) == 0 {
-		f.buf = f.buf[:0]
-		f.off = 0
-		f.items = f.buf
-	}
-	return e
-}
-
-// filter keeps only entries for which keep returns true, preserving order.
-// Dropped entries are handed to the callback before removal (nil ok).
-func (f *fifo) filter(keep func(*entry) bool, dropped func(*entry)) {
-	items := f.items
-	kept := items[:0]
-	for _, e := range items {
-		if keep(e) {
-			kept = append(kept, e)
-		} else if dropped != nil {
-			dropped(e)
-		}
-	}
-	clearTail(items, len(kept))
-	f.buf = f.buf[:f.off+len(kept)]
-	f.items = f.buf[f.off:]
 }
 
 // insertOrdered places e at its program-order position (the LQ/SQ hold
@@ -204,62 +155,50 @@ func (f *fifo) insertOrdered(e *entry) {
 // and returning the extended slice. Callers pass a reusable buffer so the
 // flush path does not allocate in steady state.
 func (f *fifo) flushYounger(seq uint64, sub uint32, inclusive bool, scratch []*entry) []*entry {
-	items := f.items
-	keep := items[:0]
 	base := len(scratch)
-	for _, e := range items {
-		drop := e.younger(seq, sub)
+	f.filter(func(e *entry) bool {
 		if inclusive {
-			drop = e.youngerEq(seq, sub)
+			return !e.youngerEq(seq, sub)
 		}
-		if drop {
-			scratch = append(scratch, e)
-		} else {
-			keep = append(keep, e)
-		}
-	}
-	// Clear the tail so flushed entries do not linger.
-	clearTail(items, len(keep))
-	f.buf = f.buf[:f.off+len(keep)]
-	f.items = f.buf[f.off:]
-	// Youngest first among this fifo's removals.
-	removed := scratch[base:]
-	for i, j := 0, len(removed)-1; i < j; i, j = i+1, j-1 {
-		removed[i], removed[j] = removed[j], removed[i]
-	}
+		return !e.younger(seq, sub)
+	}, func(e *entry) { scratch = append(scratch, e) })
+	slices.Reverse(scratch[base:]) // youngest first among this fifo's removals
 	return scratch
 }
 
-// queue is the same sliding-window discipline as fifo for the frontend's
-// value-typed pipes (fetch queue, DBQ) and pointer queues (critical queue,
-// CMQ): O(1) amortized push/popHead with zero steady-state allocation.
+// queue is a sliding window over a backing array, for the frontend's
+// value-typed pipes (fetch queue, DBQ), pointer queues (critical queue,
+// CMQ) and the fifo windows: items is buf[off:], popHead just advances off,
+// and push compacts the window back to the front of buf only when append
+// would grow it — so both ends are amortized O(1) with zero steady-state
+// allocation, and readers can keep iterating the items slice directly.
 type queue[T any] struct {
-	items []T // the live window: always buf[head:]
+	items []T // the live window: always buf[off:]
 	buf   []T
-	head  int
+	off   int
 }
 
 func (q *queue[T]) len() int    { return len(q.items) }
 func (q *queue[T]) empty() bool { return len(q.items) == 0 }
 func (q *queue[T]) push(v T) {
-	if len(q.buf) == cap(q.buf) && q.head > 0 {
+	if len(q.buf) == cap(q.buf) && q.off > 0 {
 		n := copy(q.buf, q.items)
 		clearTail(q.buf, n)
 		q.buf = q.buf[:n]
-		q.head = 0
+		q.off = 0
 	}
 	q.buf = append(q.buf, v)
-	q.items = q.buf[q.head:]
+	q.items = q.buf[q.off:]
 }
 func (q *queue[T]) popHead() T {
 	var zero T
 	v := q.items[0]
-	q.buf[q.head] = zero
-	q.head++
-	q.items = q.buf[q.head:]
+	q.buf[q.off] = zero
+	q.off++
+	q.items = q.buf[q.off:]
 	if len(q.items) == 0 {
 		q.buf = q.buf[:0]
-		q.head = 0
+		q.off = 0
 		q.items = q.buf
 	}
 	return v
@@ -269,7 +208,7 @@ func (q *queue[T]) popHead() T {
 func (q *queue[T]) clear() {
 	clearTail(q.buf, 0)
 	q.buf = q.buf[:0]
-	q.head = 0
+	q.off = 0
 	q.items = q.buf
 }
 
@@ -286,6 +225,6 @@ func (q *queue[T]) filter(keep func(T) bool, dropped func(T)) {
 		}
 	}
 	clearTail(items, len(kept))
-	q.buf = q.buf[:q.head+len(kept)]
-	q.items = q.buf[q.head:]
+	q.buf = q.buf[:q.off+len(kept)]
+	q.items = q.buf[q.off:]
 }

@@ -8,10 +8,11 @@ import "fmt"
 //
 // Invariants checked:
 //
-//  1. ROB sections, LQ, SQ, and the RS are in program order.
+//  1. ROB sections, LQ, and SQ are in program order.
 //  2. Occupancies respect capacities and partition caps.
 //  3. Per-section criticality: robCrit holds only critical entries,
-//     robNon only non-critical ones; lqCrit/sqCrit/rsCrit counters match.
+//     robNon only non-critical ones; lqCrit/sqCrit counters match, and
+//     rsLen/rsCrit and the Fig. 1 counters match a recount of the ROB.
 //  4. No physical register is both free and mapped by a RAT.
 //  5. Every in-flight entry with a destination owns a physical register.
 //  6. CMQ entries are critical, renamed, and in program order.
@@ -29,9 +30,6 @@ func (c *Core) CheckInvariants() error {
 	if err := checkOrdered("SQ", c.sq.items); err != nil {
 		return err
 	}
-	if err := checkOrdered("RS", c.rs); err != nil {
-		return err
-	}
 
 	if c.robOccupancy() > c.cfg.ROBSize {
 		return fmt.Errorf("ROB occupancy %d > %d", c.robOccupancy(), c.cfg.ROBSize)
@@ -42,8 +40,8 @@ func (c *Core) CheckInvariants() error {
 	if len(c.sq.items) > c.cfg.SQSize {
 		return fmt.Errorf("SQ occupancy %d > %d", len(c.sq.items), c.cfg.SQSize)
 	}
-	if len(c.rs) > c.cfg.RSSize {
-		return fmt.Errorf("RS occupancy %d > %d", len(c.rs), c.cfg.RSSize)
+	if c.rsLen > c.cfg.RSSize {
+		return fmt.Errorf("RS occupancy %d > %d", c.rsLen, c.cfg.RSSize)
 	}
 
 	for _, e := range c.robCrit.items {
@@ -57,7 +55,7 @@ func (c *Core) CheckInvariants() error {
 		}
 	}
 
-	lqCrit, sqCrit, rsCrit := 0, 0, 0
+	lqCrit, sqCrit := 0, 0
 	for _, e := range c.lq.items {
 		if e.critical {
 			lqCrit++
@@ -68,22 +66,40 @@ func (c *Core) CheckInvariants() error {
 			sqCrit++
 		}
 	}
-	for _, e := range c.rs {
-		if e.critical {
-			rsCrit++
-		}
-		if !e.inRS {
-			return fmt.Errorf("RS holds entry %d.%d with inRS unset", e.seq, e.sub)
-		}
-	}
 	if lqCrit != c.lqCrit {
 		return fmt.Errorf("lqCrit counter %d != actual %d", c.lqCrit, lqCrit)
 	}
 	if sqCrit != c.sqCrit {
 		return fmt.Errorf("sqCrit counter %d != actual %d", c.sqCrit, sqCrit)
 	}
-	if rsCrit != c.rsCrit {
-		return fmt.Errorf("rsCrit counter %d != actual %d", c.rsCrit, rsCrit)
+	// The RS is the ROB entries still waiting to issue; it and the Fig. 1
+	// composition are counters, recounted here from the ROB sections.
+	rsLen, rsCrit, fig1Crit, fig1Non := 0, 0, 0, 0
+	for _, sec := range [2][]*entry{c.robCrit.items, c.robNon.items} {
+		for _, e := range sec {
+			if e.inRS != (e.state == stateWaiting) {
+				return fmt.Errorf("entry %d.%d has inRS %v in state %v", e.seq, e.sub, e.inRS, e.state)
+			}
+			if e.inRS {
+				rsLen++
+				if e.critical {
+					rsCrit++
+				}
+			}
+			switch {
+			case e.wrongPath:
+			case e.critical || e.obsCritical:
+				fig1Crit++
+			default:
+				fig1Non++
+			}
+		}
+	}
+	if rsLen != c.rsLen || rsCrit != c.rsCrit {
+		return fmt.Errorf("RS counters len %d crit %d != actual %d, %d", c.rsLen, c.rsCrit, rsLen, rsCrit)
+	}
+	if fig1Crit != c.fig1Crit || fig1Non != c.fig1Non {
+		return fmt.Errorf("Fig. 1 counters crit %d non %d != actual %d, %d", c.fig1Crit, c.fig1Non, fig1Crit, fig1Non)
 	}
 
 	if err := c.rf.checkInvariant(); err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"cdf/internal/emu"
+	"cdf/internal/prog"
 	"cdf/internal/workload"
 )
 
@@ -44,6 +46,56 @@ func TestInvariantsEveryCycle(t *testing.T) {
 				}
 				if err := c.CheckInvariants(); err != nil {
 					t.Fatalf("final: %v", err)
+				}
+			})
+		}
+	}
+}
+
+// TestROBCountersEveryCycle recounts the RS occupancy and the Fig. 1 ROB
+// composition from the ROB sections after every cycle (ParanoidEvery 1),
+// on a stall-heavy and a branchy kernel and on one whose memory-order
+// violations flush correct-path entries, in every mode. The counters have
+// exactly three update sites — dispatch, retire and flush — and a missed
+// update fails at the cycle it happens.
+func TestROBCountersEveryCycle(t *testing.T) {
+	kernels := map[string]func() (*prog.Program, *emu.Memory){"memviol": buildMemViolationKernel}
+	for _, name := range []string{"mcf", "astar"} {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels[name] = w.Build
+	}
+	for name, build := range kernels {
+		for _, mode := range []Mode{ModeBaseline, ModeCDF, ModePRE, ModeHybrid} {
+			t.Run(name+"/"+mode.String(), func(t *testing.T) {
+				p, m := build()
+				cfg := Default()
+				cfg.Mode = mode
+				cfg.TrainCriticality = true
+				cfg.MaxRetired = 10_000
+				cfg.MaxCycles = 3_000_000
+				cfg.ParanoidEvery = 1
+				c, err := New(cfg, p, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatal(r)
+					}
+				}()
+				c.Run()
+				st := c.Stats()
+				if st.RetiredUops < cfg.MaxRetired {
+					t.Fatalf("stalled at %d uops", st.RetiredUops)
+				}
+				if name == "mcf" && st.FullWindowStallCycles == 0 {
+					t.Fatal("no full-window stall sampled the Fig. 1 counters")
+				}
+				if name == "memviol" && st.MemOrderViolations == 0 {
+					t.Fatal("no memory-order violation flushed correct-path entries")
 				}
 			})
 		}

@@ -92,19 +92,10 @@ func (c *Core) readyInsert(e *entry) {
 	c.readyList[i] = e
 }
 
-// rsRemove drops e from the program-ordered RS slice by binary search.
-func (c *Core) rsRemove(e *entry) {
-	i := sort.Search(len(c.rs), func(i int) bool {
-		return !c.rs[i].before(e)
-	})
-	copy(c.rs[i:], c.rs[i+1:])
-	c.rs[len(c.rs)-1] = nil
-	c.rs = c.rs[:len(c.rs)-1]
-}
-
-// schedRebuild reconstructs all scheduler state from the surviving RS
-// after a flush (chains may reference flushed entries, so everything is
-// dropped and re-derived from the register file's ready bits).
+// schedRebuild reconstructs all scheduler state from the surviving RS —
+// the ROB entries still marked inRS — after a flush (chains may reference
+// flushed entries, so everything is dropped and re-derived from the
+// register file's ready bits).
 func (c *Core) schedRebuild() {
 	for i := range c.waitHead {
 		c.waitHead[i] = nil
@@ -113,10 +104,14 @@ func (c *Core) schedRebuild() {
 	c.readyList = c.readyList[:0]
 	clearTail(c.staPending, 0)
 	c.staPending = c.staPending[:0]
-	for _, e := range c.rs {
-		e.wnext[0], e.wnext[1] = nil, nil
-		e.waitCnt = 0
-		c.schedEnqueue(e)
+	for _, sec := range [2][]*entry{c.robCrit.items, c.robNon.items} {
+		for _, e := range sec {
+			if e.inRS {
+				e.wnext[0], e.wnext[1] = nil, nil
+				e.waitCnt = 0
+				c.schedEnqueue(e)
+			}
+		}
 	}
 }
 
@@ -145,11 +140,15 @@ func (c *Core) issueFast() {
 	c.staPending = keep
 
 	// Two passes over the ready list: critical entries first, then the
-	// rest; both oldest-first (the list is program-ordered).
+	// rest; both oldest-first (the list is program-ordered). Issued and
+	// parked entries leave the list in one compaction afterwards.
+	left := len(c.readyList)
 	for pass := 0; pass < 2 && budget > 0; pass++ {
 		wantCritical := pass == 0
-		for i := 0; i < len(c.readyList) && budget > 0; i++ {
-			e := c.readyList[i]
+		for _, e := range c.readyList {
+			if budget == 0 {
+				break
+			}
 			if e.critical != wantCritical {
 				continue
 			}
@@ -159,11 +158,8 @@ func (c *Core) issueFast() {
 				// registers while consumers still sit in the window). The
 				// slow path re-checks readiness every cycle, so park the
 				// entry back on the wait chains of its new producers.
-				copy(c.readyList[i:], c.readyList[i+1:])
-				c.readyList[len(c.readyList)-1] = nil
-				c.readyList = c.readyList[:len(c.readyList)-1]
 				c.schedChain(e)
-				i--
+				left--
 				continue
 			}
 			cls := e.op.Port()
@@ -177,14 +173,22 @@ func (c *Core) issueFast() {
 			}
 			ports[cls]--
 			budget--
+			left--
 			c.work = true
-			c.traceEvent("issue", e, e.op.String())
+			if c.tracer != nil {
+				c.traceEvent("issue", e, e.op.String())
+			}
 			c.execute(e)
-			c.rsRemove(e)
-			copy(c.readyList[i:], c.readyList[i+1:])
-			c.readyList[len(c.readyList)-1] = nil
-			c.readyList = c.readyList[:len(c.readyList)-1]
-			i--
 		}
+	}
+	if left < len(c.readyList) {
+		kept := c.readyList[:0]
+		for _, e := range c.readyList {
+			if e.inRS && e.waitCnt == 0 {
+				kept = append(kept, e)
+			}
+		}
+		clearTail(c.readyList, len(kept))
+		c.readyList = kept
 	}
 }

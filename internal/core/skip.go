@@ -103,7 +103,7 @@ func (c *Core) sig() coreSig {
 		robCritLen: c.robCrit.len(), robNonLen: c.robNon.len(),
 		lqLen: c.lq.len(), sqLen: c.sq.len(),
 		lqCrit: c.lqCrit, sqCrit: c.sqCrit, rsCrit: c.rsCrit,
-		rsLen: len(c.rs), execLen: len(c.exec),
+		rsLen: c.rsLen, execLen: len(c.exec),
 		readyLen: len(c.readyList), staLen: len(c.staPending),
 		fetchQLen: c.fetchQ.len(), critQLen: c.critQ.len(),
 		dbqLen: c.dbq.len(), cmqLen: c.cmq.len(),
@@ -259,15 +259,15 @@ func (c *Core) nextEvent() (uint64, bool) {
 // trySkip runs after the stages of an observed cycle. If the cycle proved
 // to be an idle fixed point, jump the clock to the next event, replaying
 // the observed per-cycle deltas for the skipped cycles.
-func (c *Core) trySkip(prev *stats.Stats, prevSig coreSig, prevParts [3]partSnap) {
+func (c *Core) trySkip() {
 	if c.skipPred != nil {
 		return
 	}
-	if c.sig() != prevSig {
+	if c.sig() != c.obsSig {
 		return
 	}
 	d := &c.skipDelta
-	if !c.st.DeltaSince(prev, d) {
+	if !c.st.DeltaSince(&c.obsStats, d) {
 		return
 	}
 	parts := [3]*cdf.Partition{c.robPart, c.lqPart, c.sqPart}
@@ -277,10 +277,11 @@ func (c *Core) trySkip(prev *stats.Stats, prevSig coreSig, prevParts [3]partSnap
 			continue
 		}
 		crit, non := p.Stalls()
-		if crit < prevParts[i].crit || non < prevParts[i].non {
+		prev := c.obsParts[i]
+		if crit < prev.crit || non < prev.non {
 			return // a resize threshold fired and reset the counters
 		}
-		dcs[i], dns[i] = crit-prevParts[i].crit, non-prevParts[i].non
+		dcs[i], dns[i] = crit-prev.crit, non-prev.non
 	}
 	target, ok := c.nextEvent()
 	if !ok || target <= c.now {
@@ -316,7 +317,7 @@ func (c *Core) trySkip(prev *stats.Stats, prevSig coreSig, prevParts [3]partSnap
 		// simulate the k cycles for real and compare (verifySkipPrediction).
 		want := *c.st
 		want.AddDelta(d, k)
-		c.skipPred = &skipPrediction{at: c.now + k, want: want, sig: prevSig}
+		c.skipPred = &skipPrediction{at: c.now + k, want: want, sig: c.obsSig}
 		return
 	}
 	c.st.AddDelta(d, k)

@@ -120,7 +120,7 @@ func (c *Core) Snapshot() Snapshot {
 		ROBNon:  c.robNon.len(),
 		LQ:      c.lq.len(),
 		SQ:      c.sq.len(),
-		RS:      len(c.rs),
+		RS:      c.rsLen,
 		Exec:    len(c.exec),
 		ROBCap:  c.cfg.ROBSize,
 		LQCap:   c.cfg.LQSize,
@@ -140,8 +140,8 @@ func (c *Core) Snapshot() Snapshot {
 	}
 	// Peek at the next fetch PC without generating new stream positions
 	// (generation runs the emulator, which a diagnostic must not do).
-	if c.regSeq >= c.strm.base && c.regSeq < c.strm.end {
-		s.FetchPC = c.strm.buf[c.regSeq-c.strm.base].dyn.PC
+	if r := c.strm.peek(c.regSeq); r != nil {
+		s.FetchPC = r.dyn.PC
 	}
 	if h := c.oldestROBHead(); h != nil {
 		s.Head = HeadUop{

@@ -1,36 +1,67 @@
 package core
 
-import "cdf/internal/emu"
+import (
+	"sync"
+
+	"cdf/internal/emu"
+)
 
 // streamRec is one dynamic uop in the lookahead window, with per-position
 // frontend bookkeeping flags.
 type streamRec struct {
-	dyn emu.DynUop
+	dyn       emu.DynUop
+	critEntry *entry
+	epoch     uint32
 	// fetchedCritical: this position was fetched by the CDF critical
 	// frontend; the regular stream replays (discards) it at rename. Valid
 	// only when epoch matches the core's current CDF epoch.
 	fetchedCritical bool
-	critEntry       *entry
-	epoch           uint32
 	// markedCritical: the observe-only criticality mark (mask machinery),
 	// for Fig. 1 sampling in the baseline and for wrong-path rate tuning.
 	markedCritical bool
 }
 
-// stream is the correct-path oracle window: a ring buffer of upcoming
-// dynamic uops generated on demand from the functional emulator. Both fetch
-// engines index into it by dynamic sequence number; retired positions are
-// released once all pipeline references are gone.
+// Records live in fixed-size pages (512 records, 64 KB), so a widening
+// window — a CDF episode keeps everything since its entry point live — is
+// never re-grown or copied. Released pages go to pagePool, which every
+// core in the process draws from; the garbage collector empties it, so
+// it never holds pages that no run has needed for two collections.
+const (
+	pageShift = 9
+	pageMask  = 1<<pageShift - 1
+)
+
+type streamPage [1 << pageShift]streamRec
+
+var pagePool = sync.Pool{New: func() any { return new(streamPage) }}
+
+func freeStreamPages(ps []*streamPage) {
+	for _, p := range ps {
+		pagePool.Put(p)
+	}
+}
+
+// stream is the correct-path oracle window: upcoming dynamic uops generated
+// on demand from the functional emulator. Both fetch engines index into it
+// by dynamic sequence number; retired positions are released, a page at a
+// time, once all pipeline references are gone.
 type stream struct {
 	em     *emu.Emulator
-	buf    []streamRec
-	base   uint64 // Seq of buf[0]
-	end    uint64 // Seq one past the last generated uop
+	pages  []*streamPage // pages[i] holds positions base+i<<pageShift onwards
+	base   uint64        // Seq of pages[0][0]
+	end    uint64        // Seq one past the last generated uop
 	halted bool
 }
 
 func newStream(em *emu.Emulator) *stream {
-	return &stream{em: em, buf: make([]streamRec, 0, 4096)}
+	return &stream{em: em}
+}
+
+// slot returns the storage for position seq in [base, end] (end itself
+// only when its page exists).
+func (s *stream) slot(seq uint64) *streamRec {
+	off := seq - s.base
+	return &s.pages[off>>pageShift][off&pageMask]
 }
 
 // At returns the record for dynamic position seq, generating the stream up
@@ -43,18 +74,22 @@ func (s *stream) At(seq uint64) *streamRec {
 		if s.halted {
 			return nil
 		}
-		var rec streamRec
+		if s.end-s.base == uint64(len(s.pages))<<pageShift {
+			s.pages = append(s.pages, pagePool.Get().(*streamPage))
+		}
+		rec := s.slot(s.end)
+		rec.critEntry, rec.epoch = nil, 0
+		rec.fetchedCritical, rec.markedCritical = false, false
 		if !s.em.Step(&rec.dyn) {
 			s.halted = true
 			return nil
 		}
-		s.buf = append(s.buf, rec)
 		s.end++
 		if rec.dyn.Last {
 			s.halted = true
 		}
 	}
-	return &s.buf[seq-s.base]
+	return s.slot(seq)
 }
 
 // peek returns the record at seq if it is resident, without generating new
@@ -63,35 +98,29 @@ func (s *stream) peek(seq uint64) *streamRec {
 	if seq < s.base || seq >= s.end {
 		return nil
 	}
-	return &s.buf[seq-s.base]
+	return s.slot(seq)
 }
 
-// Release drops records older than seq (everything < seq is retired and no
-// longer referenced).
+// Release frees the pages wholly older than seq (everything < seq is
+// retired and no longer referenced).
 func (s *stream) Release(seq uint64) {
 	if seq <= s.base {
 		return
 	}
-	if seq > s.end {
-		seq = s.end
-	}
-	drop := int(seq - s.base)
-	// Compact once enough has been consumed to be worth the copy. The copy
-	// moves only the live window (a few hundred records), so thresholding
-	// on the drop count alone keeps the buffer's capacity bounded by
-	// live + release cadence; gating on capacity instead would let the
-	// buffer grow toward the whole run (bigger cap -> rarer compaction ->
-	// bigger cap).
-	if drop < 1024 {
-		return
-	}
-	n := copy(s.buf, s.buf[drop:])
-	s.buf = s.buf[:n]
-	s.base = seq
+	n := int((min(seq, s.end) - s.base) >> pageShift)
+	freeStreamPages(s.pages[:n])
+	m := copy(s.pages, s.pages[n:])
+	clearTail(s.pages, m)
+	s.pages = s.pages[:m]
+	s.base += uint64(n) << pageShift
+}
+
+// recycle frees every page and leaves the stream empty and halted: peek
+// finds nothing and At generates nothing.
+func (s *stream) recycle() {
+	freeStreamPages(s.pages)
+	s.pages, s.base, s.halted = nil, s.end, true
 }
 
 // Halted reports whether the emulator has produced its final uop.
 func (s *stream) Halted() bool { return s.halted }
-
-// End returns one past the last generated position.
-func (s *stream) End() uint64 { return s.end }

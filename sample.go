@@ -309,6 +309,8 @@ func (s *sampler) endInterval() {
 	// branch predictor) far better trained than any continuous run's.
 	s.warmer.Resync(c)
 	s.catchup = s.nextCkpt + c.FetchFrontier()
+	// A completed interval: its stream pages go to the next interval core.
+	c.Recycle()
 	s.kIdx++
 	if s.base+(s.kIdx+1)*s.samp.Interval > s.end {
 		// No further interval fits: the run is done. The tail beyond the
