@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck bench bench-smoke bench-test ci clean
+.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags shellcheck bench bench-smoke bench-test ci clean
 
 all: build
 
@@ -67,6 +67,13 @@ sample-smoke:
 front-smoke:
 	scripts/front_smoke.sh
 
+# The CLI surface: the sorted -h flag names of cdfsim, cdfexperiments,
+# cdftrace and cdfsweepd must match scripts/cli_flags.golden, so adding,
+# removing or renaming a flag is a reviewed change to that file
+# (scripts/cli_flags.sh -update rewrites it).
+cli-flags:
+	scripts/cli_flags.sh
+
 # Lint the smoke scripts. Skips gracefully where shellcheck is not
 # installed (CI's ubuntu runners have it).
 shellcheck:
@@ -102,7 +109,7 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke shellcheck
+ci: fmt vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags shellcheck
 
 clean:
 	$(GO) clean ./...

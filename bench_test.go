@@ -28,7 +28,7 @@ import (
 // fill-buffer walk epochs per run.
 const benchUops = 60_000
 
-func benchSuite() SuiteOptions { return SuiteOptions{MaxUops: benchUops} }
+func benchSuite() SuiteOptions { return SuiteOptions{Base: Options{MaxUops: benchUops}} }
 
 // BenchmarkTable1Config regenerates Table 1 (the machine configuration).
 func BenchmarkTable1Config(b *testing.B) {
@@ -168,7 +168,7 @@ func BenchmarkFig16Energy(b *testing.B) {
 func BenchmarkFig17Scaling(b *testing.B) {
 	o := SuiteOptions{
 		Benchmarks: []string{"astar", "bzip", "lbm", "roms", "soplex", "mcf"},
-		MaxUops:    40_000,
+		Base:       Options{MaxUops: 40_000},
 	}
 	var rows []Fig17Row
 	for i := 0; i < b.N; i++ {
@@ -369,7 +369,7 @@ func BenchmarkAblationMaskCache(b *testing.B) {
 func BenchmarkSweepCUCSize(b *testing.B) {
 	o := SuiteOptions{
 		Benchmarks: []string{"astar", "bzip", "soplex", "libquantum", "lbm"},
-		MaxUops:    benchUops,
+		Base:       Options{MaxUops: benchUops},
 	}
 	var rows []CUCSweepRow
 	for i := 0; i < b.N; i++ {

@@ -194,10 +194,16 @@ func (o Options) Validate() error {
 	if !o.Frontend && (o.PerfectL1I || o.FDIP || o.ShadowBTB) {
 		return fmt.Errorf("cdf: PerfectL1I/FDIP/ShadowBTB require Frontend")
 	}
-	if o.FDIP && o.PerfectL1I {
-		return fmt.Errorf("cdf: FDIP is meaningless with PerfectL1I (nothing to prefetch)")
+	if err := o.Sampling.validate(o.effectiveMaxUops(), o.WarmupUops); err != nil {
+		return err
 	}
-	return o.Sampling.validate(o.effectiveMaxUops(), o.WarmupUops)
+	// The machine's own rules (structure sizes, frontend combinations)
+	// live with the machine; checking the materialized config here keeps
+	// a case that core.New would reject out of caches and queues.
+	if err := o.CoreConfig().Validate(); err != nil {
+		return fmt.Errorf("cdf: %w", err)
+	}
+	return nil
 }
 
 // CoreConfig materializes the machine configuration the options describe:
@@ -566,9 +572,14 @@ type sweepCase struct {
 // newly simulated case is cached and journaled durably before the pool
 // moves on. Transient failures are retried under so.Retries with capped
 // exponential backoff; deterministic failures fail fast (CaseExecutor).
+// A so.Base that sets a machine knob fails every case with ErrMachineKnob.
 func runCases(ctx context.Context, cases []sweepCase, so SuiteOptions) ([]*Result, *SweepError) {
 	results := make([]*Result, len(cases))
+	baseErr := so.checkBase()
 	errs := harness.Pool(ctx, so.Jobs, len(cases), func(ctx context.Context, i int) error {
+		if baseErr != nil {
+			return baseErr
+		}
 		res, _, err := runCase(ctx, cases[i].bench, cases[i].opt, so)
 		if err == nil {
 			results[i] = &res

@@ -129,7 +129,7 @@ func TestGeomean(t *testing.T) {
 }
 
 func TestSuiteOptionsSubset(t *testing.T) {
-	o := SuiteOptions{Benchmarks: []string{"lbm"}, MaxUops: 8_000}
+	o := SuiteOptions{Benchmarks: []string{"lbm"}, Base: Options{MaxUops: 8_000}}
 	rows, err := Fig13Speedup(o)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestSuiteOptionsSubset(t *testing.T) {
 }
 
 func TestFig1RowsSane(t *testing.T) {
-	rows, err := Fig1ROBOccupancy(SuiteOptions{Benchmarks: []string{"astar", "mcf"}, MaxUops: 30_000})
+	rows, err := Fig1ROBOccupancy(SuiteOptions{Benchmarks: []string{"astar", "mcf"}, Base: Options{MaxUops: 30_000}})
 	if err != nil {
 		t.Fatal(err)
 	}

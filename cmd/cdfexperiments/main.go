@@ -53,8 +53,8 @@ import (
 	"cdf/internal/harness"
 	"cdf/internal/profiling"
 	"cdf/internal/report"
+	"cdf/internal/runflags"
 	"cdf/internal/sweepstore"
-	"cdf/internal/units"
 )
 
 // geomean adapts cdf.Geomean for table cells: a degenerate aggregate
@@ -97,35 +97,23 @@ func main() {
 }
 
 func run() int {
+	var o cdf.SuiteOptions
+	runflags.Run(flag.CommandLine, &o.Base)
+	startProfiling := profiling.Flags(flag.CommandLine)
+	flag.IntVar(&o.Jobs, "jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
+	flag.IntVar(&o.Retries, "retries", 0, "per-case retry budget for transient failures (timeout, watchdog, panic)")
 	var (
-		exp      = flag.String("exp", "all", "experiment name or 'all' (see -list)")
-		seed     = flag.Uint64("seed", 0, "run seed: wrong-path models and failure reports (0 = randomized)")
-		format   = flag.String("format", "text", "output format: text | markdown | csv")
-		jobs     = flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
-		timeout  = flag.Duration("timeout", 0, "wall-clock limit per simulation run (0 = none)")
-		paranoid = flag.Bool("paranoid", false, "run invariant checks inside every simulation (~2x slower)")
-		oracle   = flag.Bool("oracle", false, "check every retired uop against the functional emulator in lockstep")
-		list     = flag.Bool("list", false, "list experiments and exit")
+		exp    = flag.String("exp", "all", "experiment name or 'all' (see -list)")
+		format = flag.String("format", "text", "output format: text | markdown | csv")
+		list   = flag.Bool("list", false, "list experiments and exit")
 
 		cacheDir  = flag.String("cache-dir", "", "durable sweep state: fsync'd journal + content-addressed result cache")
 		resume    = flag.Bool("resume", false, "resume the sweep in -cache-dir: adopt its seed, serve completed cases from cache")
-		retries   = flag.Int("retries", 0, "per-case retry budget for transient failures (timeout, watchdog, panic)")
 		chaosSpec = flag.String("chaos", "", "deterministic fault injection, e.g. seed=1,panic=0.1,delay=2ms,corrupt=0.05,killafter=4")
-
-		slowPath   = flag.Bool("slowpath", false, "run the reference cycle loop (no scoreboard scheduler or idle skip)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
-		execTrace  = flag.String("exectrace", "", "write a runtime execution trace to this file (go tool trace)")
 	)
-	var uops, warmup, sampIvl, sampMeas, sampW units.Uops
-	flag.Var(&uops, "uops", "instructions per run, e.g. 200000, 200k or 5M (0 = default)")
-	flag.Var(&warmup, "warmup", "warm-up instructions excluded from statistics (e.g. 200k)")
-	flag.Var(&sampIvl, "sample-interval", "sampled simulation: sampling period in uops, e.g. 50k (0 = full runs)")
-	flag.Var(&sampMeas, "sample-measure", "sampled simulation: cycle-accurate measured uops per interval (0 = interval/16)")
-	flag.Var(&sampW, "sample-warmup", "sampled simulation: detached cycle-accurate warmup uops per interval (0 = measure/2)")
 	flag.Parse()
 
-	profStop, err := profiling.Start(*cpuProfile, *memProfile, *execTrace)
+	profStop, err := startProfiling()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdfexperiments:", err)
 		return 1
@@ -139,9 +127,8 @@ func run() int {
 		return 0
 	}
 
-	var chaos *harness.Chaos
 	if *chaosSpec != "" {
-		chaos, err = harness.ParseChaos(*chaosSpec)
+		o.Chaos, err = harness.ParseChaos(*chaosSpec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cdfexperiments:", err)
 			return 2
@@ -151,6 +138,7 @@ func run() int {
 	// Durable sweep state. Opened before the seed is fixed: on -resume the
 	// journal's recorded seed wins, so the continued sweep addresses the
 	// same cache entries as the interrupted one.
+	b := &o.Base
 	var store *sweepstore.Store
 	if *resume && *cacheDir == "" {
 		fmt.Fprintln(os.Stderr, "cdfexperiments: -resume requires -cache-dir")
@@ -181,21 +169,21 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "cdfexperiments: resuming %s: seed %d, %d case(s) journaled done, %d failed\n",
 				*cacheDir, meta.Seed, done, failedCases)
 			switch {
-			case *seed == 0:
-				*seed = meta.Seed
-			case *seed != meta.Seed:
+			case b.Seed == 0:
+				b.Seed = meta.Seed
+			case b.Seed != meta.Seed:
 				fmt.Fprintf(os.Stderr, "cdfexperiments: -seed %d conflicts with the journal's seed %d; drop -seed or start fresh without -resume\n",
-					*seed, meta.Seed)
+					b.Seed, meta.Seed)
 				return 2
 			}
-			if uint64(uops) != meta.MaxUops || uint64(warmup) != meta.WarmupUops {
+			if b.MaxUops != meta.MaxUops || b.WarmupUops != meta.WarmupUops {
 				fmt.Fprintf(os.Stderr, "cdfexperiments: -uops/-warmup (%d/%d) conflict with the journal's (%d/%d); match them or start fresh without -resume\n",
-					uops, warmup, meta.MaxUops, meta.WarmupUops)
+					b.MaxUops, b.WarmupUops, meta.MaxUops, meta.WarmupUops)
 				return 2
 			}
-			if uint64(sampIvl) != meta.SampleInterval || uint64(sampMeas) != meta.SampleMeasure || uint64(sampW) != meta.SampleWarmup {
+			if sp := b.Sampling; sp.Interval != meta.SampleInterval || sp.Measure != meta.SampleMeasure || sp.Warmup != meta.SampleWarmup {
 				fmt.Fprintf(os.Stderr, "cdfexperiments: -sample-interval/-sample-measure/-sample-warmup (%d/%d/%d) conflict with the journal's (%d/%d/%d); match them or start fresh without -resume\n",
-					sampIvl, sampMeas, sampW, meta.SampleInterval, meta.SampleMeasure, meta.SampleWarmup)
+					sp.Interval, sp.Measure, sp.Warmup, meta.SampleInterval, meta.SampleMeasure, meta.SampleWarmup)
 				return 2
 			}
 		}
@@ -203,13 +191,13 @@ func run() int {
 
 	// The seed is always printed so any failed run can be replayed exactly;
 	// 0 asks for a fresh one.
-	if *seed == 0 {
-		*seed = uint64(time.Now().UnixNano())
+	if b.Seed == 0 {
+		b.Seed = uint64(time.Now().UnixNano())
 	}
-	fmt.Fprintf(os.Stderr, "cdfexperiments: seed %d\n", *seed)
+	fmt.Fprintf(os.Stderr, "cdfexperiments: seed %d\n", b.Seed)
 	if store != nil {
-		if err := store.SetMeta(sweepstore.Record{Seed: *seed, MaxUops: uint64(uops), WarmupUops: uint64(warmup),
-			SampleInterval: uint64(sampIvl), SampleMeasure: uint64(sampMeas), SampleWarmup: uint64(sampW),
+		if err := store.SetMeta(sweepstore.Record{Seed: b.Seed, MaxUops: b.MaxUops, WarmupUops: b.WarmupUops,
+			SampleInterval: b.Sampling.Interval, SampleMeasure: b.Sampling.Measure, SampleWarmup: b.Sampling.Warmup,
 			Version: sweepstore.CodeVersion()}); err != nil {
 			fmt.Fprintln(os.Stderr, "cdfexperiments:", err)
 			return 1
@@ -221,27 +209,10 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	o := cdf.SuiteOptions{
-		MaxUops:    uint64(uops),
-		WarmupUops: uint64(warmup),
-		Seed:       *seed,
-		Sampling: cdf.Sampling{
-			Interval: uint64(sampIvl),
-			Measure:  uint64(sampMeas),
-			Warmup:   uint64(sampW),
-		},
-		Jobs:     *jobs,
-		Timeout:  *timeout,
-		Paranoid: *paranoid,
-		Oracle:   *oracle,
-		SlowPath: *slowPath,
-		Context:  ctx,
-		Store:    store,
-		Retries:  *retries,
-		Chaos:    chaos,
-	}
-	if store != nil && chaos != nil {
-		store.CorruptPut = chaos.CorruptPut
+	o.Context = ctx
+	o.Store = store
+	if store != nil && o.Chaos != nil {
+		store.CorruptPut = o.Chaos.CorruptPut
 	}
 	ran, failed := false, false
 	for _, e := range experiments {

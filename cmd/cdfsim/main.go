@@ -37,6 +37,7 @@ import (
 	"cdf/internal/harness"
 	"cdf/internal/oracle"
 	"cdf/internal/profiling"
+	"cdf/internal/runflags"
 	"cdf/internal/sweepd"
 	"cdf/internal/sweepstore"
 	"cdf/internal/units"
@@ -44,48 +45,29 @@ import (
 )
 
 func main() {
+	var opt cdf.Options
+	runflags.Run(flag.CommandLine, &opt)
+	runflags.Frontend(flag.CommandLine, &opt)
+	startProfiling := profiling.Flags(flag.CommandLine)
+	flag.IntVar(&opt.ROBSize, "rob", 0, "ROB size override (0 = Table 1's 352; other structures scale)")
 	var (
-		bench = flag.String("bench", "astar", "benchmark kernel to run (see -list)")
-		mode  = flag.String("mode", "baseline", "machine: baseline | cdf | pre | hybrid")
-
-		uops, warmup             units.Uops
-		sampIvl, sampMeas, sampW units.Uops
-		rob                      = flag.Int("rob", 0, "ROB size override (0 = Table 1's 352; other structures scale)")
-		seed                     = flag.Uint64("seed", 0, "run seed: wrong-path models and failure reports (0 = randomized)")
-		noBr                     = flag.Bool("no-critical-branches", false, "disable hard-to-predict branch marking (ablation)")
-
-		frontend   = flag.Bool("frontend", false, "enable the instruction-supply subsystem: timed L1I on the fetch path")
-		perfectL1I = flag.Bool("perfect-l1i", false, "frontend upper bound: every instruction fetch hits (requires -frontend)")
-		fdip       = flag.Bool("fdip", false, "decoupled fetch-directed L1I prefetcher (requires -frontend)")
-		shadowBTB  = flag.Bool("shadow-btb", false, "shadow-branch decoding into a shadow BTB (requires -frontend)")
-		list       = flag.Bool("list", false, "list benchmarks and exit")
-		prtCfg     = flag.Bool("print-config", false, "print the Table 1 configuration and exit")
-		traceN     = flag.Int("trace", 0, "print the first N pipeline trace events and exit")
+		bench  = flag.String("bench", "astar", "benchmark kernel to run (see -list)")
+		mode   = flag.String("mode", "baseline", "machine: baseline | cdf | pre | hybrid")
+		noBr   = flag.Bool("no-critical-branches", false, "disable hard-to-predict branch marking (ablation)")
+		list   = flag.Bool("list", false, "list benchmarks and exit")
+		prtCfg = flag.Bool("print-config", false, "print the Table 1 configuration and exit")
+		traceN = flag.Int("trace", 0, "print the first N pipeline trace events and exit")
 
 		cacheDir = flag.String("cache-dir", "", "content-addressed result cache: serve a verified prior result, else simulate and record")
-
-		timeout  = flag.Duration("timeout", 0, "wall-clock limit for the run (0 = none)")
-		paranoid = flag.Bool("paranoid", false, "run invariant checks during the simulation (~2x slower)")
-		oracleOn = flag.Bool("oracle", false, "check every retired uop against the functional emulator in lockstep")
 		repro    = flag.String("repro", "", "replay a repro artifact written by the failure minimizer, then exit")
 
 		workerMode = flag.Bool("worker", false, "sweep-service worker mode: serve case requests on stdin/stdout (see cdfsweepd)")
 		workerHB   = flag.Duration("worker-hb", 0, "worker heartbeat period (0 = default); only with -worker")
 		chaosSpec  = flag.String("chaos", "", "deterministic fault injection in -worker mode, e.g. seed=1,workerkill=0.2,hbstall=0.1")
-
-		slowPath   = flag.Bool("slowpath", false, "run the reference cycle loop (no scoreboard scheduler or idle skip)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
-		execTrace  = flag.String("exectrace", "", "write a runtime execution trace to this file (go tool trace)")
 	)
-	flag.Var(&uops, "uops", "instructions to simulate, e.g. 200000, 200k or 5M (0 = default)")
-	flag.Var(&warmup, "warmup", "warm-up instructions excluded from statistics (e.g. 200k)")
-	flag.Var(&sampIvl, "sample-interval", "sampled simulation: sampling period in uops, e.g. 50k (0 = full run)")
-	flag.Var(&sampMeas, "sample-measure", "sampled simulation: cycle-accurate measured uops per interval (0 = interval/16)")
-	flag.Var(&sampW, "sample-warmup", "sampled simulation: detached cycle-accurate warmup uops per interval (0 = measure/2)")
 	flag.Parse()
 
-	profStop, err := profiling.Start(*cpuProfile, *memProfile, *execTrace)
+	profStop, err := startProfiling()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdfsim:", err)
 		os.Exit(1)
@@ -121,36 +103,17 @@ func main() {
 		return
 	}
 	if *repro != "" {
-		runRepro(*repro, *timeout)
+		runRepro(*repro, opt.Timeout)
 		return
 	}
 
 	// The seed is always printed so a failing run can be replayed exactly;
 	// 0 asks for a fresh one.
-	if *seed == 0 {
-		*seed = uint64(time.Now().UnixNano())
+	if opt.Seed == 0 {
+		opt.Seed = uint64(time.Now().UnixNano())
 	}
-	fmt.Printf("seed        %d\n", *seed)
+	fmt.Printf("seed        %d\n", opt.Seed)
 
-	opt := cdf.Options{
-		MaxUops:    uint64(uops),
-		WarmupUops: uint64(warmup),
-		ROBSize:    *rob,
-		Seed:       *seed,
-		Timeout:    *timeout,
-		Paranoid:   *paranoid,
-		Oracle:     *oracleOn,
-		SlowPath:   *slowPath,
-		Frontend:   *frontend,
-		PerfectL1I: *perfectL1I,
-		FDIP:       *fdip,
-		ShadowBTB:  *shadowBTB,
-		Sampling: cdf.Sampling{
-			Interval: uint64(sampIvl),
-			Measure:  uint64(sampMeas),
-			Warmup:   uint64(sampW),
-		},
-	}
 	if opt.Mode, err = core.ParseMode(*mode); err != nil {
 		fmt.Fprintln(os.Stderr, "cdfsim:", err)
 		os.Exit(2)

@@ -20,31 +20,29 @@ import (
 	"cdf/internal/emu"
 	"cdf/internal/harness"
 	"cdf/internal/profiling"
+	"cdf/internal/runflags"
 	"cdf/internal/units"
 	"cdf/internal/workload"
 )
 
 func main() {
+	// The training run's machine: CDF, under the frontend flags, so the
+	// criticality marks reflect the instruction-supply behaviour they
+	// describe.
+	opt := cdf.Options{Mode: cdf.ModeCDF, MaxUops: 60_000}
+	runflags.Frontend(flag.CommandLine, &opt)
+	startProfiling := profiling.Flags(flag.CommandLine)
 	var (
 		bench  = flag.String("bench", "astar", "benchmark kernel")
 		disasm = flag.Bool("disasm", false, "print the kernel's static program")
 		dyn    = flag.Int("dyn", 32, "number of dynamic uops to dump")
-
-		frontend   = flag.Bool("frontend", false, "train under the instruction-supply subsystem (timed L1I)")
-		perfectL1I = flag.Bool("perfect-l1i", false, "frontend upper bound: every instruction fetch hits (requires -frontend)")
-		fdip       = flag.Bool("fdip", false, "decoupled fetch-directed L1I prefetcher (requires -frontend)")
-		shadowBTB  = flag.Bool("shadow-btb", false, "shadow-branch decoding into a shadow BTB (requires -frontend)")
-
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
-		execTrace  = flag.String("exectrace", "", "write a runtime execution trace to this file (go tool trace)")
 	)
-	skip, train := units.Uops(20_000), units.Uops(60_000)
+	skip := units.Uops(20_000)
 	flag.Var(&skip, "skip", "dynamic uops to skip before dumping, e.g. 20000 or 20k")
-	flag.Var(&train, "train", "uops of CDF training before reading criticality marks, e.g. 60k")
+	flag.Var((*units.Uops)(&opt.MaxUops), "train", "uops of CDF training before reading criticality marks, e.g. 60k")
 	flag.Parse()
 
-	profStop, err := profiling.Start(*cpuProfile, *memProfile, *execTrace)
+	profStop, err := startProfiling()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdftrace:", err)
 		os.Exit(1)
@@ -64,11 +62,7 @@ func main() {
 	}
 
 	// Train the CDF machinery so the Critical Uop Cache holds this
-	// kernel's traces, then read the masks out for annotation. The
-	// frontend flags train under the timed frontend, so the criticality
-	// marks reflect the instruction-supply behaviour they describe.
-	opt := cdf.Options{Mode: cdf.ModeCDF, MaxUops: uint64(train),
-		Frontend: *frontend, PerfectL1I: *perfectL1I, FDIP: *fdip, ShadowBTB: *shadowBTB}
+	// kernel's traces, then read the masks out for annotation.
 	if err := opt.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "cdftrace:", err)
 		os.Exit(1)

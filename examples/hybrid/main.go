@@ -18,7 +18,7 @@ import (
 func main() {
 	rows, err := cdf.HybridComparison(cdf.SuiteOptions{
 		Benchmarks: []string{"bzip", "zeusmp", "roms"},
-		MaxUops:    60_000,
+		Base:       cdf.Options{MaxUops: 60_000},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -16,7 +16,7 @@ import (
 func main() {
 	o := cdf.SuiteOptions{
 		Benchmarks: []string{"astar", "mcf", "soplex", "sphinx", "zeusmp"},
-		MaxUops:    60_000,
+		Base:       cdf.Options{MaxUops: 60_000},
 	}
 
 	traffic, err := cdf.Fig15Traffic(o)

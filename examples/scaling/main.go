@@ -19,7 +19,7 @@ func main() {
 	// -exp fig17 for the full suite.
 	o := cdf.SuiteOptions{
 		Benchmarks: []string{"astar", "bzip", "lbm", "roms", "mcf"},
-		MaxUops:    60_000,
+		Base:       cdf.Options{MaxUops: 60_000},
 	}
 	rows, err := cdf.Fig17Scaling(o, []int{256, 352, 512})
 	if err != nil {

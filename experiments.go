@@ -2,11 +2,12 @@ package cdf
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"cdf/internal/core"
 	"cdf/internal/harness"
@@ -25,36 +26,18 @@ import (
 type SuiteOptions struct {
 	// Benchmarks restricts the suite (nil = all kernels).
 	Benchmarks []string
-	// MaxUops per run (0 = DefaultMaxUops).
-	MaxUops uint64
-	// WarmupUops per run, excluded from statistics.
-	WarmupUops uint64
-	// Seed for the deterministic wrong-path models.
-	Seed uint64
 
-	// Sampling runs every suite benchmark in sampled-simulation mode (see
-	// the Sampling type): fast-forward with functional warming, periodic
-	// cycle-accurate measured intervals. Zero runs everything fully.
-	Sampling Sampling
+	// Base is the run-control template every case starts from: MaxUops,
+	// WarmupUops, Seed, Sampling, Timeout, Paranoid, Oracle, SlowPath.
+	// The experiments choose the machines, so a Base that sets a machine
+	// knob (Mode, ROBSize, the frontend switches, ...) fails every case
+	// with ErrMachineKnob.
+	Base Options
 
 	// Jobs bounds the worker pool running suite benchmarks in parallel
 	// (0 = GOMAXPROCS). Results are deterministic regardless of Jobs:
 	// each run is independently deterministic and rows keep suite order.
 	Jobs int
-	// Timeout bounds each individual run's wall-clock time (0 = none).
-	// A timed-out run fails with a *harness.SimError carrying a
-	// machine-state snapshot; the rest of the sweep continues.
-	Timeout time.Duration
-	// Paranoid runs core.CheckInvariants periodically inside every run
-	// (~2x wall-clock).
-	Paranoid bool
-	// Oracle runs every simulation under the lockstep differential checker
-	// (see Options.Oracle); a divergence fails that run and is reported
-	// through the sweep's *SweepError.
-	Oracle bool
-	// SlowPath runs every simulation on the reference cycle loop (see
-	// Options.SlowPath); results are bit-identical either way.
-	SlowPath bool
 	// Context cancels the sweep (nil = context.Background). Runs already
 	// finished when the context fires are kept, so partial tables can
 	// still be rendered after e.g. a SIGINT.
@@ -110,17 +93,23 @@ func (o SuiteOptions) ctx() context.Context {
 	return context.Background()
 }
 
-func (o SuiteOptions) runOptions() Options {
-	return Options{
-		MaxUops:    o.MaxUops,
-		WarmupUops: o.WarmupUops,
-		Seed:       o.Seed,
-		Sampling:   o.Sampling,
-		Timeout:    o.Timeout,
-		Paranoid:   o.Paranoid,
-		Oracle:     o.Oracle,
-		SlowPath:   o.SlowPath,
+// ErrMachineKnob is the error every case of a suite fails with when its
+// SuiteOptions.Base sets a machine knob rather than only run control.
+var ErrMachineKnob = errors.New("cdf: SuiteOptions.Base sets a machine knob")
+
+// checkBase rejects a Base that sets anything but run control: the one
+// place the run-control fields are listed.
+func (o SuiteOptions) checkBase() error {
+	m := o.Base
+	m.MaxUops, m.WarmupUops, m.Seed, m.Sampling = 0, 0, 0, Sampling{}
+	m.Timeout, m.Paranoid, m.Oracle, m.SlowPath = 0, false, false, false
+	v := reflect.ValueOf(m)
+	for i := range v.NumField() {
+		if !v.Field(i).IsZero() {
+			return fmt.Errorf("%w: %s", ErrMachineKnob, v.Type().Field(i).Name)
+		}
 	}
+	return nil
 }
 
 // Geomean returns the geometric mean of vs. Empty input or a non-positive
@@ -174,7 +163,7 @@ type Fig1Row struct {
 // criticality marking.
 func Fig1ROBOccupancy(o SuiteOptions) ([]Fig1Row, error) {
 	benches := o.benches()
-	opt := o.runOptions()
+	opt := o.Base
 	opt.TrainCriticality = true
 	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline}, opt, o)
 	rows := make([]Fig1Row, 0, len(benches))
@@ -208,7 +197,7 @@ type Fig13Row struct {
 // bars.
 func Fig13Speedup(o SuiteOptions) ([]Fig13Row, error) {
 	benches := o.benches()
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.runOptions(), o)
+	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.Base, o)
 	rows := make([]Fig13Row, 0, len(benches))
 	for _, b := range benches {
 		if !haveAll(results, b, ModeBaseline, ModeCDF, ModePRE) {
@@ -256,7 +245,7 @@ type Fig14Row struct {
 // wrong-path loads that do not convert to speedup, while CDF's convert.
 func Fig14MLP(o SuiteOptions) ([]Fig14Row, error) {
 	benches := o.benches()
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.runOptions(), o)
+	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.Base, o)
 	rows := make([]Fig14Row, 0, len(benches))
 	for _, b := range benches {
 		if !haveAll(results, b, ModeBaseline, ModeCDF, ModePRE) {
@@ -290,7 +279,7 @@ type Fig15Row struct {
 // (the paper reports CDF generating 4% less extra traffic than PRE).
 func Fig15Traffic(o SuiteOptions) ([]Fig15Row, error) {
 	benches := o.benches()
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.runOptions(), o)
+	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.Base, o)
 	rows := make([]Fig15Row, 0, len(benches))
 	for _, b := range benches {
 		if !haveAll(results, b, ModeBaseline, ModeCDF, ModePRE) {
@@ -322,7 +311,7 @@ type Fig16Row struct {
 // baseline (the paper: CDF −3.5%, PRE +3.7%).
 func Fig16Energy(o SuiteOptions) ([]Fig16Row, error) {
 	benches := o.benches()
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.runOptions(), o)
+	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.Base, o)
 	rows := make([]Fig16Row, 0, len(benches))
 	for _, b := range benches {
 		if !haveAll(results, b, ModeBaseline, ModeCDF, ModePRE) {
@@ -364,12 +353,11 @@ func Fig17Scaling(o SuiteOptions, robSizes []int) ([]Fig17Row, error) {
 	benches := o.benches()
 
 	// Reference: Table 1 baseline.
-	refOpt := o.runOptions()
-	ref, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline}, refOpt, o)
+	ref, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline}, o.Base, o)
 
 	var rows []Fig17Row
 	for _, rob := range robSizes {
-		opt := o.runOptions()
+		opt := o.Base
 		opt.ROBSize = rob
 		results, s := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, opt, o)
 		sweep = sweep.merge(s)
@@ -424,9 +412,9 @@ type AblationRow struct {
 // the paper), with astar/bzip/mcf/soplex affected most.
 func AblationNoCriticalBranches(o SuiteOptions) ([]AblationRow, error) {
 	benches := o.benches()
-	base, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, o.runOptions(), o)
+	base, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, o.Base, o)
 	off := false
-	noBr := o.runOptions()
+	noBr := o.Base
 	noBr.MarkCriticalBranches = &off
 	noBrRes, s := runSet(o.ctx(), benches, []Mode{ModeCDF}, noBr, o)
 	sweep = sweep.merge(s)
@@ -508,7 +496,7 @@ func FrontSupply(o SuiteOptions) ([]FrontRow, error) {
 	cases := make([]sweepCase, 0, len(benches)*len(frontVariants))
 	for _, b := range benches {
 		for _, v := range frontVariants {
-			opt := o.runOptions()
+			opt := o.Base
 			opt.Mode = ModeBaseline
 			v.mut(&opt)
 			cases = append(cases, sweepCase{b, opt})

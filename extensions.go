@@ -27,7 +27,7 @@ type HybridRow struct {
 // PRE's dense stencils).
 func HybridComparison(o SuiteOptions) ([]HybridRow, error) {
 	benches := o.benches()
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE, ModeHybrid}, o.runOptions(), o)
+	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE, ModeHybrid}, o.Base, o)
 	rows := make([]HybridRow, 0, len(benches))
 	for _, b := range benches {
 		if !haveAll(results, b, ModeBaseline, ModeCDF, ModePRE, ModeHybrid) {
@@ -55,8 +55,8 @@ type PartitionAblationRow struct {
 // 3/4 skew and compares against the adaptive controller (§3.5).
 func AblationStaticPartition(o SuiteOptions) ([]PartitionAblationRow, error) {
 	benches := o.benches()
-	dyn, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, o.runOptions(), o)
-	opt := o.runOptions()
+	dyn, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, o.Base, o)
+	opt := o.Base
 	opt.StaticPartition = true
 	static, s := runSet(o.ctx(), benches, []Mode{ModeCDF}, opt, o)
 	sweep = sweep.merge(s)
@@ -88,8 +88,8 @@ type MaskAblationRow struct {
 // more register dependence violations (and the flushes they cost).
 func AblationNoMaskCache(o SuiteOptions) ([]MaskAblationRow, error) {
 	benches := o.benches()
-	with, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, o.runOptions(), o)
-	opt := o.runOptions()
+	with, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, o.Base, o)
+	opt := o.Base
 	opt.NoMaskCache = true
 	without, s := runSet(o.ctx(), benches, []Mode{ModeCDF}, opt, o)
 	sweep = sweep.merge(s)
@@ -126,10 +126,10 @@ func SweepCUCSize(o SuiteOptions, sizesKB []int) ([]CUCSweepRow, error) {
 		sizesKB = DefaultCUCSweepKB
 	}
 	benches := o.benches()
-	base, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline}, o.runOptions(), o)
+	base, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline}, o.Base, o)
 	var rows []CUCSweepRow
 	for _, kb := range sizesKB {
-		opt := o.runOptions()
+		opt := o.Base
 		opt.CUCKB = kb
 		res, s := runSet(o.ctx(), benches, []Mode{ModeCDF}, opt, o)
 		sweep = sweep.merge(s)

@@ -3,7 +3,7 @@ package cdf
 import "testing"
 
 func TestHybridComparisonRuns(t *testing.T) {
-	rows, err := HybridComparison(SuiteOptions{Benchmarks: []string{"lbm"}, MaxUops: 10_000})
+	rows, err := HybridComparison(SuiteOptions{Benchmarks: []string{"lbm"}, Base: Options{MaxUops: 10_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestHybridComparisonRuns(t *testing.T) {
 }
 
 func TestStaticPartitionAblationRuns(t *testing.T) {
-	rows, err := AblationStaticPartition(SuiteOptions{Benchmarks: []string{"astar"}, MaxUops: 20_000})
+	rows, err := AblationStaticPartition(SuiteOptions{Benchmarks: []string{"astar"}, Base: Options{MaxUops: 20_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestStaticPartitionAblationRuns(t *testing.T) {
 }
 
 func TestMaskCacheAblationRuns(t *testing.T) {
-	rows, err := AblationNoMaskCache(SuiteOptions{Benchmarks: []string{"bzip"}, MaxUops: 30_000})
+	rows, err := AblationNoMaskCache(SuiteOptions{Benchmarks: []string{"bzip"}, Base: Options{MaxUops: 30_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestMaskCacheAblationRuns(t *testing.T) {
 }
 
 func TestSweepCUCSizeMonotoneEnough(t *testing.T) {
-	rows, err := SweepCUCSize(SuiteOptions{Benchmarks: []string{"astar", "bzip"}, MaxUops: 40_000}, []int{2, 18})
+	rows, err := SweepCUCSize(SuiteOptions{Benchmarks: []string{"astar", "bzip"}, Base: Options{MaxUops: 40_000}}, []int{2, 18})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestShapeHybridCapturesBoth(t *testing.T) {
 	}
 	rows, err := HybridComparison(SuiteOptions{
 		Benchmarks: []string{"bzip", "zeusmp"},
-		MaxUops:    60_000,
+		Base:       Options{MaxUops: 60_000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestShapeDynamicPartitionHelps(t *testing.T) {
 	}
 	rows, err := AblationStaticPartition(SuiteOptions{
 		Benchmarks: []string{"astar", "bzip", "lbm", "soplex", "libquantum", "roms"},
-		MaxUops:    60_000,
+		Base:       Options{MaxUops: 60_000},
 	})
 	if err != nil {
 		t.Fatal(err)

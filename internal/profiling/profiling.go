@@ -1,17 +1,27 @@
 // Package profiling wires the standard pprof/runtime-trace collectors into
-// the command-line tools (DESIGN.md §9): every simulator binary accepts
-// -cpuprofile, -memprofile, and -exectrace, so a slow run can be profiled
-// in place with no rebuild. The output files feed `go tool pprof` and
-// `go tool trace` directly.
+// the command-line tools (DESIGN.md §9): cdfsim, cdfexperiments and
+// cdftrace accept -cpuprofile, -memprofile, and -exectrace (registered by
+// Flags), so a slow run can be profiled in place with no rebuild. The
+// output files feed `go tool pprof` and `go tool trace` directly.
 package profiling
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
 )
+
+// Flags registers -cpuprofile, -memprofile and -exectrace on fs. Once fs
+// is parsed, start begins the selected collectors (see Start).
+func Flags(fs *flag.FlagSet) (start func() (stop func(), err error)) {
+	cpu := fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+	mem := fs.String("memprofile", "", "write a heap profile to this file at exit (go tool pprof)")
+	exec := fs.String("exectrace", "", "write a runtime execution trace to this file (go tool trace)")
+	return func() (func(), error) { return Start(*cpu, *mem, *exec) }
+}
 
 // Start begins the collectors selected by the (possibly empty) file paths
 // and returns a stop function to run at process exit. The heap profile is
@@ -36,7 +46,7 @@ func Start(cpuProfile, memProfile, execTrace string) (stop func(), err error) {
 		}
 		stops = append(stops, func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			closeReport(f)
 		})
 	}
 	if execTrace != "" {
@@ -50,7 +60,7 @@ func Start(cpuProfile, memProfile, execTrace string) (stop func(), err error) {
 		}
 		stops = append(stops, func() {
 			trace.Stop()
-			f.Close()
+			closeReport(f)
 		})
 	}
 	if memProfile != "" {
@@ -60,7 +70,7 @@ func Start(cpuProfile, memProfile, execTrace string) (stop func(), err error) {
 				fmt.Fprintln(os.Stderr, "profiling:", err)
 				return
 			}
-			defer f.Close()
+			defer closeReport(f)
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintln(os.Stderr, "profiling: write heap profile:", err)
@@ -72,4 +82,13 @@ func Start(cpuProfile, memProfile, execTrace string) (stop func(), err error) {
 			stops[i]()
 		}
 	}, nil
+}
+
+// closeReport closes a profile file at stop time. A failed close can lose
+// buffered profile data, and stop runs at process exit with no caller left
+// to return an error to, so it is reported on stderr.
+func closeReport(f *os.File) {
+	if err := f.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "profiling:", err)
+	}
 }

@@ -40,8 +40,7 @@ func renderFig13(t *testing.T, rows []Fig13Row) string {
 func TestParallelSweepDeterministic(t *testing.T) {
 	o := SuiteOptions{
 		Benchmarks: []string{"astar", "lbm", "mcf"},
-		MaxUops:    20_000,
-		Seed:       1,
+		Base:       Options{MaxUops: 20_000, Seed: 1},
 	}
 	o.Jobs = 1
 	seqRows, err := Fig13Speedup(o)
@@ -65,7 +64,7 @@ func TestParallelSweepDeterministic(t *testing.T) {
 func TestSweepFailureIsolation(t *testing.T) {
 	o := SuiteOptions{
 		Benchmarks: []string{"lbm", "definitely-missing"},
-		MaxUops:    10_000,
+		Base:       Options{MaxUops: 10_000},
 		Jobs:       4,
 	}
 	rows, err := Fig13Speedup(o)
@@ -93,6 +92,19 @@ func TestSweepFailureIsolation(t *testing.T) {
 	}
 }
 
+// TestSuiteBaseRejectsMachineKnob: SuiteOptions.Base carries run control
+// only; a machine knob in it fails every case with ErrMachineKnob naming
+// the knob, instead of silently changing the experiment's machines.
+func TestSuiteBaseRejectsMachineKnob(t *testing.T) {
+	rows, err := Fig13Speedup(SuiteOptions{Base: Options{Frontend: true}})
+	if len(rows) != 0 {
+		t.Fatalf("rows from a rejected Base: %+v", rows)
+	}
+	if !errors.Is(err, ErrMachineKnob) || !strings.Contains(err.Error(), "Frontend") {
+		t.Fatalf("err = %v, want ErrMachineKnob naming Frontend", err)
+	}
+}
+
 // TestSweepCancellation: a canceled context aborts queued runs but the
 // sweep still returns rather than hanging.
 func TestSweepCancellation(t *testing.T) {
@@ -100,7 +112,7 @@ func TestSweepCancellation(t *testing.T) {
 	cancel() // canceled before the sweep even starts
 	o := SuiteOptions{
 		Benchmarks: []string{"astar", "lbm"},
-		MaxUops:    10_000,
+		Base:       Options{MaxUops: 10_000},
 		Context:    ctx,
 	}
 	rows, err := Fig13Speedup(o)
@@ -120,9 +132,7 @@ func TestSweepCancellation(t *testing.T) {
 func TestSuiteOracleClean(t *testing.T) {
 	o := SuiteOptions{
 		Benchmarks: []string{"astar", "mcf", "lbm"},
-		MaxUops:    10_000,
-		Seed:       1,
-		Oracle:     true,
+		Base:       Options{MaxUops: 10_000, Seed: 1, Oracle: true},
 	}
 	if _, err := Fig13Speedup(o); err != nil {
 		t.Fatalf("oracle-checked sweep failed: %v", err)
@@ -191,6 +201,9 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative rob", Options{ROBSize: -1}, "ROBSize"},
 		{"negative cuc", Options{CUCKB: -4}, "CUCKB"},
 		{"negative timeout", Options{Timeout: -time.Second}, "Timeout"},
+		{"rob too small for the prf", Options{ROBSize: 8}, "PRF"},
+		{"fdip without frontend", Options{FDIP: true}, "require Frontend"},
+		{"fdip with perfect l1i", Options{Frontend: true, FDIP: true, PerfectL1I: true}, "FDIP"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -11,7 +11,7 @@ package cdf
 
 import "testing"
 
-func suiteOpt() SuiteOptions { return SuiteOptions{MaxUops: 60_000} }
+func suiteOpt() SuiteOptions { return SuiteOptions{Base: Options{MaxUops: 60_000}} }
 
 func fig13(t *testing.T) []Fig13Row {
 	t.Helper()
@@ -168,7 +168,7 @@ func TestShapeFig17WindowScaling(t *testing.T) {
 	}
 	rows, err := Fig17Scaling(SuiteOptions{
 		Benchmarks: []string{"astar", "bzip", "lbm", "roms", "soplex", "mcf"},
-		MaxUops:    40_000,
+		Base:       Options{MaxUops: 40_000},
 	}, []int{192, 352, 704})
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestShapeAblationCriticalBranches(t *testing.T) {
 	}
 	rows, err := AblationNoCriticalBranches(SuiteOptions{
 		Benchmarks: []string{"astar", "bzip", "mcf", "soplex", "lbm", "roms"},
-		MaxUops:    60_000,
+		Base:       Options{MaxUops: 60_000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,7 +281,7 @@ func TestShapeFig14MLPDirection(t *testing.T) {
 	}
 	rows, err := Fig14MLP(SuiteOptions{
 		Benchmarks: []string{"astar", "soplex", "roms", "zeusmp", "gems"},
-		MaxUops:    60_000,
+		Base:       Options{MaxUops: 60_000},
 	})
 	if err != nil {
 		t.Fatal(err)
