@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags shellcheck bench bench-smoke bench-test ci clean
+.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags experiments-check shellcheck bench bench-smoke bench-test ci clean
 
 all: build
 
@@ -74,6 +74,14 @@ front-smoke:
 cli-flags:
 	scripts/cli_flags.sh
 
+# The evaluation's output: every experiment at a short fixed-seed budget
+# (-uops 10000 -seed 1 -format markdown) must print exactly
+# scripts/experiments.golden.md, so a refactor of the experiment layer is
+# checked byte for byte and a modelling change shows its table deltas in
+# the diff (scripts/experiments.sh -update rewrites it). ~10 s on 2 vCPUs.
+experiments-check:
+	scripts/experiments.sh
+
 # Lint the smoke scripts. Skips gracefully where shellcheck is not
 # installed (CI's ubuntu runners have it).
 shellcheck:
@@ -109,7 +117,7 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags shellcheck
+ci: fmt vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags experiments-check shellcheck
 
 clean:
 	$(GO) clean ./...

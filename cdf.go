@@ -2,8 +2,9 @@
 // reproduction (Deshmukh & Patt, MICRO 2021). It wraps the cycle-level
 // simulator in internal/core, the benchmark suite in internal/workload, and
 // the McPAT/CACTI-style energy model in internal/energy, and provides one
-// runner per table and figure of the paper's evaluation (see
-// experiments.go).
+// runner per table and figure of the paper's evaluation (experiments.go,
+// extensions.go), each a list of machine variants run over the suite and
+// a derivation of its rows from their results.
 //
 // Quick start:
 //
@@ -500,19 +501,6 @@ func (e *SweepError) Unwrap() []error {
 	return errs
 }
 
-// merge folds o's failures into e, returning the combined error (either
-// receiver may be nil).
-func (e *SweepError) merge(o *SweepError) *SweepError {
-	switch {
-	case o == nil || len(o.Failures) == 0:
-		return e
-	case e == nil:
-		return o
-	}
-	e.Failures = append(e.Failures, o.Failures...)
-	return e
-}
-
 // orNil converts a possibly-nil *SweepError into a plain error without
 // the typed-nil-in-interface trap.
 func (e *SweepError) orNil() error {
@@ -528,32 +516,36 @@ func (e *SweepError) orNil() error {
 	return e
 }
 
-// runKey names one run of a runSet.
-type runKey struct {
-	bench string
-	mode  Mode
+// variant is one machine of an experiment: the mode it runs plus the
+// knobs that set it apart from the Table 1 machine (set may be nil).
+type variant struct {
+	mode Mode
+	set  func(*Options)
 }
 
-// runSet runs every (benchmark, mode) pair through runCases. The results
-// map holds only the runs that completed; callers must check membership
-// (haveAll) before folding a benchmark into a table.
-func runSet(ctx context.Context, benches []string, modes []Mode, opt Options, so SuiteOptions) (map[runKey]Result, *SweepError) {
-	cases := make([]sweepCase, 0, len(benches)*len(modes))
+// grid runs every benchmark under every variant, from o.Base, as a single
+// runCases call. It returns each benchmark's results in variant order,
+// nil where a run failed; the failures come back in the error (a
+// *SweepError), sorted by benchmark and mode and otherwise in variant
+// order.
+func (o SuiteOptions) grid(benches []string, variants []variant) ([][]*Result, error) {
+	cases := make([]sweepCase, 0, len(benches)*len(variants))
 	for _, b := range benches {
-		for _, m := range modes {
-			o := opt
-			o.Mode = m
-			cases = append(cases, sweepCase{b, o})
+		for _, v := range variants {
+			opt := o.Base
+			opt.Mode = v.mode
+			if v.set != nil {
+				v.set(&opt)
+			}
+			cases = append(cases, sweepCase{b, opt})
 		}
 	}
-	done, sweep := runCases(ctx, cases, so)
-	results := make(map[runKey]Result, len(cases))
-	for i, r := range done {
-		if r != nil {
-			results[runKey{cases[i].bench, cases[i].opt.Mode}] = *r
-		}
+	done, sweep := runCases(o.ctx(), cases, o)
+	out := make([][]*Result, len(benches))
+	for i := range out {
+		out[i] = done[i*len(variants):][:len(variants):len(variants)]
 	}
-	return results, sweep
+	return out, sweep.orNil()
 }
 
 // sweepCase is one run of a sweep.
@@ -641,15 +633,4 @@ func runCase(ctx context.Context, bench string, opt Options, so SuiteOptions) (R
 		so.Chaos.CaseSimulated()
 	}
 	return res, fromCache, err
-}
-
-// haveAll reports whether every mode's result for bench completed, i.e.
-// the benchmark is eligible for a table row and the geomean.
-func haveAll(results map[runKey]Result, bench string, modes ...Mode) bool {
-	for _, m := range modes {
-		if _, ok := results[runKey{bench, m}]; !ok {
-			return false
-		}
-	}
-	return true
 }

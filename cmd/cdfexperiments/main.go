@@ -309,69 +309,72 @@ func runFig1(o cdf.SuiteOptions) ([]*report.Table, error) {
 	return []*report.Table{t}, err
 }
 
+// ratioTable fills t with one row per benchmark — the ratios cells picks
+// out of a result row, rendered with format — and, when geo is set, a
+// geomean row per column.
+func ratioTable[R any](t *report.Table, format func(float64) string, geo bool, rows []R, cells func(R) (string, []float64)) []*report.Table {
+	cols := make([][]float64, len(t.Columns)-1)
+	for _, r := range rows {
+		name, vs := cells(r)
+		line := []string{name}
+		for i, v := range vs {
+			line = append(line, format(v))
+			cols[i] = append(cols[i], v)
+		}
+		t.AddRow(line...)
+	}
+	if geo {
+		line := []string{"geomean"}
+		for _, c := range cols {
+			line = append(line, format(geomean(c)))
+		}
+		t.AddRow(line...)
+	}
+	return []*report.Table{t}
+}
+
 func runFig13(o cdf.SuiteOptions) ([]*report.Table, error) {
 	rows, err := cdf.Fig13Speedup(o)
-	t := &report.Table{
+	return ratioTable(&report.Table{
 		Title:   "Fig. 13: IPC improvement over baseline",
 		Note:    "paper geomeans: CDF +6.1%, PRE +2.6%",
 		Columns: []string{"benchmark", "CDF", "PRE"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Benchmark, report.Pct(r.CDFSpeedup), report.Pct(r.PRESpeedup))
-	}
-	if cg, pg, gerr := cdf.Fig13Geomean(rows); gerr != nil {
-		t.AddRow("geomean", report.NA, report.NA)
-	} else {
-		t.AddRow("geomean", report.Pct(cg), report.Pct(pg))
-	}
-	return []*report.Table{t}, err
+	}, report.Pct, true, rows, func(r cdf.Fig13Row) (string, []float64) {
+		return r.Benchmark, []float64{r.CDFSpeedup, r.PRESpeedup}
+	}), err
 }
 
 func runFig14(o cdf.SuiteOptions) ([]*report.Table, error) {
 	rows, err := cdf.Fig14MLP(o)
-	t := &report.Table{
+	return ratioTable(&report.Table{
 		Title:   "Fig. 14: MLP relative to baseline",
 		Note:    "paper: PRE's MLP gains include wrong-path loads that do not convert to speedup",
 		Columns: []string{"benchmark", "CDF", "PRE"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Benchmark, report.Rel(r.CDFMLPRel), report.Rel(r.PREMLPRel))
-	}
-	return []*report.Table{t}, err
+	}, report.Rel, false, rows, func(r cdf.Fig14Row) (string, []float64) {
+		return r.Benchmark, []float64{r.CDFMLPRel, r.PREMLPRel}
+	}), err
 }
 
 func runFig15(o cdf.SuiteOptions) ([]*report.Table, error) {
 	rows, err := cdf.Fig15Traffic(o)
-	t := &report.Table{
+	return ratioTable(&report.Table{
 		Title:   "Fig. 15: memory traffic relative to baseline",
 		Note:    "paper: CDF generates ~4% less extra traffic than PRE",
 		Columns: []string{"benchmark", "CDF", "PRE"},
-	}
-	var cs, ps []float64
-	for _, r := range rows {
-		t.AddRow(r.Benchmark, report.Rel(r.CDFTrafficRel), report.Rel(r.PRETrafficRel))
-		cs = append(cs, r.CDFTrafficRel)
-		ps = append(ps, r.PRETrafficRel)
-	}
-	t.AddRow("geomean", report.Rel(geomean(cs)), report.Rel(geomean(ps)))
-	return []*report.Table{t}, err
+	}, report.Rel, true, rows, func(r cdf.Fig15Row) (string, []float64) {
+		return r.Benchmark, []float64{r.CDFTrafficRel, r.PRETrafficRel}
+	}), err
 }
 
 func runFig16(o cdf.SuiteOptions) ([]*report.Table, error) {
 	rows, err := cdf.Fig16Energy(o)
-	t := &report.Table{
+	return ratioTable(&report.Table{
 		Title:   "Fig. 16: energy relative to baseline",
 		Note:    "paper geomeans: CDF 0.965x, PRE 1.037x",
 		Columns: []string{"benchmark", "CDF", "PRE"},
-	}
-	var cs, ps []float64
-	for _, r := range rows {
-		t.AddRow(r.Benchmark, report.Rel(r.CDFEnergyRel), report.Rel(r.PREEnergyRel))
-		cs = append(cs, r.CDFEnergyRel)
-		ps = append(ps, r.PREEnergyRel)
-	}
-	t.AddRow("geomean", report.Rel(geomean(cs)), report.Rel(geomean(ps)))
-	return []*report.Table{t}, err
+	}, report.Rel, true, rows, func(r cdf.Fig16Row) (string, []float64) {
+		return r.Benchmark, []float64{r.CDFEnergyRel, r.PREEnergyRel}
+	}), err
 }
 
 func runFig17(o cdf.SuiteOptions) ([]*report.Table, error) {
@@ -391,54 +394,35 @@ func runFig17(o cdf.SuiteOptions) ([]*report.Table, error) {
 
 func runAblation(o cdf.SuiteOptions) ([]*report.Table, error) {
 	rows, err := cdf.AblationNoCriticalBranches(o)
-	t := &report.Table{
+	return ratioTable(&report.Table{
 		Title:   "§4.2 ablation: no critical-branch marking",
 		Note:    "paper: geomean falls from +6.1% to +3.8%",
 		Columns: []string{"benchmark", "CDF", "CDF (no critical branches)"},
-	}
-	var fs, ns []float64
-	for _, r := range rows {
-		t.AddRow(r.Benchmark, report.Pct(r.CDFSpeedup), report.Pct(r.NoCritBranchSpeedup))
-		fs = append(fs, r.CDFSpeedup)
-		ns = append(ns, r.NoCritBranchSpeedup)
-	}
-	t.AddRow("geomean", report.Pct(geomean(fs)), report.Pct(geomean(ns)))
-	return []*report.Table{t}, err
+	}, report.Pct, true, rows, func(r cdf.AblationRow) (string, []float64) {
+		return r.Benchmark, []float64{r.CDFSpeedup, r.NoCritBranchSpeedup}
+	}), err
 }
 
 func runHybrid(o cdf.SuiteOptions) ([]*report.Table, error) {
 	rows, err := cdf.HybridComparison(o)
-	t := &report.Table{
+	return ratioTable(&report.Table{
 		Title:   "§6 extension: CDF + Runahead hybrid",
 		Note:    "the hybrid should capture the better of CDF/PRE per benchmark",
 		Columns: []string{"benchmark", "CDF", "PRE", "hybrid"},
-	}
-	var cs, ps, hs []float64
-	for _, r := range rows {
-		t.AddRow(r.Benchmark, report.Pct(r.CDFSpeedup), report.Pct(r.PRESpeedup), report.Pct(r.HybridSpeedup))
-		cs = append(cs, r.CDFSpeedup)
-		ps = append(ps, r.PRESpeedup)
-		hs = append(hs, r.HybridSpeedup)
-	}
-	t.AddRow("geomean", report.Pct(geomean(cs)), report.Pct(geomean(ps)), report.Pct(geomean(hs)))
-	return []*report.Table{t}, err
+	}, report.Pct, true, rows, func(r cdf.HybridRow) (string, []float64) {
+		return r.Benchmark, []float64{r.CDFSpeedup, r.PRESpeedup, r.HybridSpeedup}
+	}), err
 }
 
 func runPartition(o cdf.SuiteOptions) ([]*report.Table, error) {
 	rows, err := cdf.AblationStaticPartition(o)
-	t := &report.Table{
+	return ratioTable(&report.Table{
 		Title:   "§3.5 ablation: dynamic vs static partitioning",
 		Note:    "paper: dynamic partitioning significantly improves CDF",
 		Columns: []string{"benchmark", "dynamic", "static"},
-	}
-	var ds, ss []float64
-	for _, r := range rows {
-		t.AddRow(r.Benchmark, report.Pct(r.DynamicSpeedup), report.Pct(r.StaticSpeedup))
-		ds = append(ds, r.DynamicSpeedup)
-		ss = append(ss, r.StaticSpeedup)
-	}
-	t.AddRow("geomean", report.Pct(geomean(ds)), report.Pct(geomean(ss)))
-	return []*report.Table{t}, err
+	}, report.Pct, true, rows, func(r cdf.PartitionAblationRow) (string, []float64) {
+		return r.Benchmark, []float64{r.DynamicSpeedup, r.StaticSpeedup}
+	}), err
 }
 
 func runMaskCache(o cdf.SuiteOptions) ([]*report.Table, error) {

@@ -119,6 +119,29 @@ func Geomean(vs []float64) (float64, error) {
 	return stats.Geomean(vs)
 }
 
+// paperMachines are the three machines of Figs. 13–16, in that order.
+var paperMachines = []variant{{mode: ModeBaseline}, {mode: ModeCDF}, {mode: ModePRE}}
+
+// ablation is the variant list of a CDF ablation: the baseline, full CDF,
+// and CDF with knob applied.
+func ablation(knob func(*Options)) []variant {
+	return []variant{{mode: ModeBaseline}, {mode: ModeCDF}, {ModeCDF, knob}}
+}
+
+// perKernel runs every kernel under the variants and derives one row per
+// kernel from its results (in variant order). A kernel with a failed run
+// gets no row; its failures are in the error.
+func perKernel[R any](o SuiteOptions, benches []string, variants []variant, row func(bench string, r []*Result) R) ([]R, error) {
+	res, err := o.grid(benches, variants)
+	rows := make([]R, 0, len(benches))
+	for i, r := range res {
+		if !slices.Contains(r, nil) {
+			rows = append(rows, row(benches[i], r))
+		}
+	}
+	return rows, err
+}
+
 // --- Table 1 ---
 
 // Table1Config renders the simulated machine configuration (the paper's
@@ -162,24 +185,15 @@ type Fig1Row struct {
 // Fig1ROBOccupancy reproduces Fig. 1 on the baseline core with observe-only
 // criticality marking.
 func Fig1ROBOccupancy(o SuiteOptions) ([]Fig1Row, error) {
-	benches := o.benches()
-	opt := o.Base
-	opt.TrainCriticality = true
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline}, opt, o)
-	rows := make([]Fig1Row, 0, len(benches))
-	for _, b := range benches {
-		if !haveAll(results, b, ModeBaseline) {
-			continue
-		}
-		r := results[runKey{b, ModeBaseline}]
-		rows = append(rows, Fig1Row{
+	observe := variant{ModeBaseline, func(o *Options) { o.TrainCriticality = true }}
+	return perKernel(o, o.benches(), []variant{observe}, func(b string, r []*Result) Fig1Row {
+		return Fig1Row{
 			Benchmark:       b,
-			CriticalFrac:    r.StallROBCritFrac,
-			NonCriticalFrac: 1 - r.StallROBCritFrac,
-			StallCycles:     r.FullWindowStallCycles,
-		})
-	}
-	return rows, sweep.orNil()
+			CriticalFrac:    r[0].StallROBCritFrac,
+			NonCriticalFrac: 1 - r[0].StallROBCritFrac,
+			StallCycles:     r[0].FullWindowStallCycles,
+		}
+	})
 }
 
 // --- Fig. 13 ---
@@ -193,24 +207,13 @@ type Fig13Row struct {
 }
 
 // Fig13Speedup reproduces Fig. 13: per-benchmark CDF and PRE speedups over
-// the baseline-with-prefetching core. Append GeomeanRow for the summary
+// the baseline-with-prefetching core. Fig13Geomean gives the summary
 // bars.
 func Fig13Speedup(o SuiteOptions) ([]Fig13Row, error) {
-	benches := o.benches()
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.Base, o)
-	rows := make([]Fig13Row, 0, len(benches))
-	for _, b := range benches {
-		if !haveAll(results, b, ModeBaseline, ModeCDF, ModePRE) {
-			continue
-		}
-		base := results[runKey{b, ModeBaseline}]
-		rows = append(rows, Fig13Row{
-			Benchmark:  b,
-			CDFSpeedup: results[runKey{b, ModeCDF}].IPC / base.IPC,
-			PRESpeedup: results[runKey{b, ModePRE}].IPC / base.IPC,
-		})
-	}
-	return rows, sweep.orNil()
+	return perKernel(o, o.benches(), paperMachines, func(b string, r []*Result) Fig13Row {
+		base, cdf, pre := r[0], r[1], r[2]
+		return Fig13Row{Benchmark: b, CDFSpeedup: cdf.IPC / base.IPC, PRESpeedup: pre.IPC / base.IPC}
+	})
 }
 
 // Fig13Geomean returns the suite geomean speedups (the paper's headline:
@@ -244,25 +247,13 @@ type Fig14Row struct {
 // relative to the baseline. The paper's point: PRE's MLP gains include
 // wrong-path loads that do not convert to speedup, while CDF's convert.
 func Fig14MLP(o SuiteOptions) ([]Fig14Row, error) {
-	benches := o.benches()
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.Base, o)
-	rows := make([]Fig14Row, 0, len(benches))
-	for _, b := range benches {
-		if !haveAll(results, b, ModeBaseline, ModeCDF, ModePRE) {
-			continue
-		}
-		base := results[runKey{b, ModeBaseline}]
+	return perKernel(o, o.benches(), paperMachines, func(b string, r []*Result) Fig14Row {
+		base, cdf, pre := r[0], r[1], r[2]
 		if base.MLP == 0 {
-			rows = append(rows, Fig14Row{Benchmark: b, CDFMLPRel: 1, PREMLPRel: 1})
-			continue
+			return Fig14Row{Benchmark: b, CDFMLPRel: 1, PREMLPRel: 1}
 		}
-		rows = append(rows, Fig14Row{
-			Benchmark: b,
-			CDFMLPRel: results[runKey{b, ModeCDF}].MLP / base.MLP,
-			PREMLPRel: results[runKey{b, ModePRE}].MLP / base.MLP,
-		})
-	}
-	return rows, sweep.orNil()
+		return Fig14Row{Benchmark: b, CDFMLPRel: cdf.MLP / base.MLP, PREMLPRel: pre.MLP / base.MLP}
+	})
 }
 
 // --- Fig. 15 ---
@@ -278,24 +269,17 @@ type Fig15Row struct {
 // Fig15Traffic reproduces Fig. 15: memory traffic relative to the baseline
 // (the paper reports CDF generating 4% less extra traffic than PRE).
 func Fig15Traffic(o SuiteOptions) ([]Fig15Row, error) {
-	benches := o.benches()
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.Base, o)
-	rows := make([]Fig15Row, 0, len(benches))
-	for _, b := range benches {
-		if !haveAll(results, b, ModeBaseline, ModeCDF, ModePRE) {
-			continue
-		}
-		base := float64(results[runKey{b, ModeBaseline}].MemTraffic)
+	return perKernel(o, o.benches(), paperMachines, func(b string, r []*Result) Fig15Row {
+		base := float64(r[0].MemTraffic)
 		if base == 0 {
 			base = 1
 		}
-		rows = append(rows, Fig15Row{
+		return Fig15Row{
 			Benchmark:     b,
-			CDFTrafficRel: float64(results[runKey{b, ModeCDF}].MemTraffic) / base,
-			PRETrafficRel: float64(results[runKey{b, ModePRE}].MemTraffic) / base,
-		})
-	}
-	return rows, sweep.orNil()
+			CDFTrafficRel: float64(r[1].MemTraffic) / base,
+			PRETrafficRel: float64(r[2].MemTraffic) / base,
+		}
+	})
 }
 
 // --- Fig. 16 ---
@@ -310,21 +294,10 @@ type Fig16Row struct {
 // Fig16Energy reproduces Fig. 16: energy consumption relative to the
 // baseline (the paper: CDF −3.5%, PRE +3.7%).
 func Fig16Energy(o SuiteOptions) ([]Fig16Row, error) {
-	benches := o.benches()
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE}, o.Base, o)
-	rows := make([]Fig16Row, 0, len(benches))
-	for _, b := range benches {
-		if !haveAll(results, b, ModeBaseline, ModeCDF, ModePRE) {
-			continue
-		}
-		base := results[runKey{b, ModeBaseline}].EnergyPJ
-		rows = append(rows, Fig16Row{
-			Benchmark:    b,
-			CDFEnergyRel: results[runKey{b, ModeCDF}].EnergyPJ / base,
-			PREEnergyRel: results[runKey{b, ModePRE}].EnergyPJ / base,
-		})
-	}
-	return rows, sweep.orNil()
+	return perKernel(o, o.benches(), paperMachines, func(b string, r []*Result) Fig16Row {
+		base, cdf, pre := r[0], r[1], r[2]
+		return Fig16Row{Benchmark: b, CDFEnergyRel: cdf.EnergyPJ / base.EnergyPJ, PREEnergyRel: pre.EnergyPJ / base.EnergyPJ}
+	})
 }
 
 // --- Fig. 17 ---
@@ -345,30 +318,31 @@ var DefaultFig17Sizes = []int{192, 256, 352, 512, 768}
 
 // Fig17Scaling reproduces Fig. 17: CDF and baseline cores at different ROB
 // sizes. All values are geomeans over the suite, relative to the 352-entry
-// baseline.
+// baseline. A kernel counts at every size where its reference and that
+// size's runs completed.
 func Fig17Scaling(o SuiteOptions, robSizes []int) ([]Fig17Row, error) {
 	if len(robSizes) == 0 {
 		robSizes = DefaultFig17Sizes
 	}
 	benches := o.benches()
 
-	// Reference: Table 1 baseline.
-	ref, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline}, o.Base, o)
+	// Variant 0 is the reference, the Table 1 baseline; size k then runs
+	// the baseline and CDF at 1+2k and 2+2k.
+	variants := []variant{{mode: ModeBaseline}}
+	for _, rob := range robSizes {
+		scale := func(o *Options) { o.ROBSize = rob }
+		variants = append(variants, variant{ModeBaseline, scale}, variant{ModeCDF, scale})
+	}
+	res, sweep := o.grid(benches, variants)
 
 	var rows []Fig17Row
-	for _, rob := range robSizes {
-		opt := o.Base
-		opt.ROBSize = rob
-		results, s := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, opt, o)
-		sweep = sweep.merge(s)
+	for k, rob := range robSizes {
 		var bIPC, cIPC, bEn, cEn []float64
-		for _, b := range benches {
-			if !haveAll(ref, b, ModeBaseline) || !haveAll(results, b, ModeBaseline, ModeCDF) {
+		for _, r := range res {
+			r0, rb, rc := r[0], r[1+2*k], r[2+2*k]
+			if r0 == nil || rb == nil || rc == nil {
 				continue
 			}
-			r0 := ref[runKey{b, ModeBaseline}]
-			rb := results[runKey{b, ModeBaseline}]
-			rc := results[runKey{b, ModeCDF}]
 			bIPC = append(bIPC, rb.IPC/r0.IPC)
 			cIPC = append(cIPC, rc.IPC/r0.IPC)
 			bEn = append(bEn, rb.EnergyPJ/r0.EnergyPJ)
@@ -394,7 +368,7 @@ func Fig17Scaling(o SuiteOptions, robSizes []int) ([]Fig17Row, error) {
 		rows = append(rows, row)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].ROBSize < rows[j].ROBSize })
-	return rows, sweep.orNil()
+	return rows, sweep
 }
 
 // --- §4.2 ablation ---
@@ -411,26 +385,11 @@ type AblationRow struct {
 // hard-to-predict-branch marking drops the geomean speedup (6.1% → 3.8% in
 // the paper), with astar/bzip/mcf/soplex affected most.
 func AblationNoCriticalBranches(o SuiteOptions) ([]AblationRow, error) {
-	benches := o.benches()
-	base, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, o.Base, o)
-	off := false
-	noBr := o.Base
-	noBr.MarkCriticalBranches = &off
-	noBrRes, s := runSet(o.ctx(), benches, []Mode{ModeCDF}, noBr, o)
-	sweep = sweep.merge(s)
-	rows := make([]AblationRow, 0, len(benches))
-	for _, b := range benches {
-		if !haveAll(base, b, ModeBaseline, ModeCDF) || !haveAll(noBrRes, b, ModeCDF) {
-			continue
-		}
-		b0 := base[runKey{b, ModeBaseline}]
-		rows = append(rows, AblationRow{
-			Benchmark:           b,
-			CDFSpeedup:          base[runKey{b, ModeCDF}].IPC / b0.IPC,
-			NoCritBranchSpeedup: noBrRes[runKey{b, ModeCDF}].IPC / b0.IPC,
-		})
-	}
-	return rows, sweep.orNil()
+	noBr := ablation(func(o *Options) { o.MarkCriticalBranches = new(bool) }) // false
+	return perKernel(o, o.benches(), noBr, func(b string, r []*Result) AblationRow {
+		base := r[0].IPC
+		return AblationRow{Benchmark: b, CDFSpeedup: r[1].IPC / base, NoCritBranchSpeedup: r[2].IPC / base}
+	})
 }
 
 // --- Instruction supply (DESIGN.md §13) ---
@@ -468,16 +427,15 @@ type FrontRow struct {
 	BTBStallShadow float64
 }
 
-// frontVariants are the four machines FrontSupply compares. Order matters:
-// it is the column order of the report table.
-var frontVariants = []struct {
-	name string
-	mut  func(*Options)
-}{
-	{"timing", func(o *Options) { o.Frontend = true }},
-	{"fdip", func(o *Options) { o.Frontend, o.FDIP = true, true }},
-	{"shadow", func(o *Options) { o.Frontend, o.FDIP, o.ShadowBTB = true, true, true }},
-	{"perfect", func(o *Options) { o.Frontend, o.PerfectL1I = true, true }},
+// frontVariants are the four machines FrontSupply compares, all on the
+// baseline core: timed L1I only; + FDIP; + FDIP and shadow-branch
+// decoding; and the perfect-L1I upper bound. Order matters: it is the
+// column order of the report table.
+var frontVariants = []variant{
+	{ModeBaseline, func(o *Options) { o.Frontend = true }},
+	{ModeBaseline, func(o *Options) { o.Frontend, o.FDIP = true, true }},
+	{ModeBaseline, func(o *Options) { o.Frontend, o.FDIP, o.ShadowBTB = true, true, true }},
+	{ModeBaseline, func(o *Options) { o.Frontend, o.PerfectL1I = true, true }},
 }
 
 // FrontSupply runs the frontend-bound kernels (workload/front.go) under the
@@ -493,22 +451,7 @@ func FrontSupply(o SuiteOptions) ([]FrontRow, error) {
 			}
 		}
 	}
-	cases := make([]sweepCase, 0, len(benches)*len(frontVariants))
-	for _, b := range benches {
-		for _, v := range frontVariants {
-			opt := o.Base
-			opt.Mode = ModeBaseline
-			v.mut(&opt)
-			cases = append(cases, sweepCase{b, opt})
-		}
-	}
-	done, sweep := runCases(o.ctx(), cases, o)
-	rows := make([]FrontRow, 0, len(benches))
-	for i, b := range benches {
-		r := done[i*len(frontVariants):][:len(frontVariants)]
-		if slices.Contains(r, nil) {
-			continue
-		}
+	return perKernel(o, benches, frontVariants, func(b string, r []*Result) FrontRow {
 		timing, fdip, shadow, perfect := r[0], r[1], r[2], r[3]
 		row := FrontRow{
 			Benchmark:  b,
@@ -524,7 +467,6 @@ func FrontSupply(o SuiteOptions) ([]FrontRow, error) {
 		}
 		row.BTBStallFDIP = 1000 * fdip.Metric("fetch_stall_btb") / float64(fdip.Uops)
 		row.BTBStallShadow = 1000 * shadow.Metric("fetch_stall_btb") / float64(shadow.Uops)
-		rows = append(rows, row)
-	}
-	return rows, sweep.orNil()
+		return row
+	})
 }

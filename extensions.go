@@ -26,22 +26,16 @@ type HybridRow struct {
 // captures both mechanisms' wins (CDF's sparse-criticality benchmarks AND
 // PRE's dense stencils).
 func HybridComparison(o SuiteOptions) ([]HybridRow, error) {
-	benches := o.benches()
-	results, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF, ModePRE, ModeHybrid}, o.Base, o)
-	rows := make([]HybridRow, 0, len(benches))
-	for _, b := range benches {
-		if !haveAll(results, b, ModeBaseline, ModeCDF, ModePRE, ModeHybrid) {
-			continue
-		}
-		base := results[runKey{b, ModeBaseline}].IPC
-		rows = append(rows, HybridRow{
+	machines := []variant{{mode: ModeBaseline}, {mode: ModeCDF}, {mode: ModePRE}, {mode: ModeHybrid}}
+	return perKernel(o, o.benches(), machines, func(b string, r []*Result) HybridRow {
+		base := r[0].IPC
+		return HybridRow{
 			Benchmark:     b,
-			CDFSpeedup:    results[runKey{b, ModeCDF}].IPC / base,
-			PRESpeedup:    results[runKey{b, ModePRE}].IPC / base,
-			HybridSpeedup: results[runKey{b, ModeHybrid}].IPC / base,
-		})
-	}
-	return rows, sweep.orNil()
+			CDFSpeedup:    r[1].IPC / base,
+			PRESpeedup:    r[2].IPC / base,
+			HybridSpeedup: r[3].IPC / base,
+		}
+	})
 }
 
 // PartitionAblationRow compares dynamic against frozen partitions.
@@ -54,25 +48,11 @@ type PartitionAblationRow struct {
 // AblationStaticPartition freezes the ROB/LQ/SQ partitions at their initial
 // 3/4 skew and compares against the adaptive controller (§3.5).
 func AblationStaticPartition(o SuiteOptions) ([]PartitionAblationRow, error) {
-	benches := o.benches()
-	dyn, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, o.Base, o)
-	opt := o.Base
-	opt.StaticPartition = true
-	static, s := runSet(o.ctx(), benches, []Mode{ModeCDF}, opt, o)
-	sweep = sweep.merge(s)
-	rows := make([]PartitionAblationRow, 0, len(benches))
-	for _, b := range benches {
-		if !haveAll(dyn, b, ModeBaseline, ModeCDF) || !haveAll(static, b, ModeCDF) {
-			continue
-		}
-		base := dyn[runKey{b, ModeBaseline}].IPC
-		rows = append(rows, PartitionAblationRow{
-			Benchmark:      b,
-			DynamicSpeedup: dyn[runKey{b, ModeCDF}].IPC / base,
-			StaticSpeedup:  static[runKey{b, ModeCDF}].IPC / base,
-		})
-	}
-	return rows, sweep.orNil()
+	static := ablation(func(o *Options) { o.StaticPartition = true })
+	return perKernel(o, o.benches(), static, func(b string, r []*Result) PartitionAblationRow {
+		base := r[0].IPC
+		return PartitionAblationRow{Benchmark: b, DynamicSpeedup: r[1].IPC / base, StaticSpeedup: r[2].IPC / base}
+	})
 }
 
 // MaskAblationRow compares CDF with and without the Mask Cache.
@@ -87,27 +67,17 @@ type MaskAblationRow struct {
 // AblationNoMaskCache disables cross-path mask accumulation; §3.6 predicts
 // more register dependence violations (and the flushes they cost).
 func AblationNoMaskCache(o SuiteOptions) ([]MaskAblationRow, error) {
-	benches := o.benches()
-	with, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline, ModeCDF}, o.Base, o)
-	opt := o.Base
-	opt.NoMaskCache = true
-	without, s := runSet(o.ctx(), benches, []Mode{ModeCDF}, opt, o)
-	sweep = sweep.merge(s)
-	rows := make([]MaskAblationRow, 0, len(benches))
-	for _, b := range benches {
-		if !haveAll(with, b, ModeBaseline, ModeCDF) || !haveAll(without, b, ModeCDF) {
-			continue
-		}
-		base := with[runKey{b, ModeBaseline}].IPC
-		rows = append(rows, MaskAblationRow{
+	noMask := ablation(func(o *Options) { o.NoMaskCache = true })
+	return perKernel(o, o.benches(), noMask, func(b string, r []*Result) MaskAblationRow {
+		base, with, without := r[0].IPC, r[1], r[2]
+		return MaskAblationRow{
 			Benchmark:        b,
-			Speedup:          with[runKey{b, ModeCDF}].IPC / base,
-			NoMaskSpeedup:    without[runKey{b, ModeCDF}].IPC / base,
-			Violations:       with[runKey{b, ModeCDF}].DependenceViolations,
-			NoMaskViolations: without[runKey{b, ModeCDF}].DependenceViolations,
-		})
-	}
-	return rows, sweep.orNil()
+			Speedup:          with.IPC / base,
+			NoMaskSpeedup:    without.IPC / base,
+			Violations:       with.DependenceViolations,
+			NoMaskViolations: without.DependenceViolations,
+		}
+	})
 }
 
 // CUCSweepRow is one Critical Uop Cache capacity point.
@@ -120,25 +90,25 @@ type CUCSweepRow struct {
 var DefaultCUCSweepKB = []int{4, 9, 18, 36}
 
 // SweepCUCSize sweeps the Critical Uop Cache capacity and reports the suite
-// geomean CDF speedup at each point.
+// geomean CDF speedup at each point. A kernel counts at every capacity
+// where its baseline and that capacity's run completed.
 func SweepCUCSize(o SuiteOptions, sizesKB []int) ([]CUCSweepRow, error) {
 	if len(sizesKB) == 0 {
 		sizesKB = DefaultCUCSweepKB
 	}
-	benches := o.benches()
-	base, sweep := runSet(o.ctx(), benches, []Mode{ModeBaseline}, o.Base, o)
-	var rows []CUCSweepRow
+	// Variant 0 is the baseline; capacity k runs CDF at 1+k.
+	variants := []variant{{mode: ModeBaseline}}
 	for _, kb := range sizesKB {
-		opt := o.Base
-		opt.CUCKB = kb
-		res, s := runSet(o.ctx(), benches, []Mode{ModeCDF}, opt, o)
-		sweep = sweep.merge(s)
+		variants = append(variants, variant{ModeCDF, func(o *Options) { o.CUCKB = kb }})
+	}
+	res, sweep := o.grid(o.benches(), variants)
+	var rows []CUCSweepRow
+	for k, kb := range sizesKB {
 		var sp []float64
-		for _, b := range benches {
-			if !haveAll(base, b, ModeBaseline) || !haveAll(res, b, ModeCDF) {
-				continue
+		for _, r := range res {
+			if base, cdf := r[0], r[1+k]; base != nil && cdf != nil {
+				sp = append(sp, cdf.IPC/base.IPC)
 			}
-			sp = append(sp, res[runKey{b, ModeCDF}].IPC/base[runKey{b, ModeBaseline}].IPC)
 		}
 		if len(sp) == 0 {
 			continue
@@ -149,5 +119,5 @@ func SweepCUCSize(o SuiteOptions, sizesKB []int) ([]CUCSweepRow, error) {
 		}
 		rows = append(rows, CUCSweepRow{CUCKB: kb, CDFSpeedup: g})
 	}
-	return rows, sweep.orNil()
+	return rows, sweep
 }

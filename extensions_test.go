@@ -1,6 +1,11 @@
 package cdf
 
-import "testing"
+import (
+	"errors"
+	"slices"
+	"strings"
+	"testing"
+)
 
 func TestHybridComparisonRuns(t *testing.T) {
 	rows, err := HybridComparison(SuiteOptions{Benchmarks: []string{"lbm"}, Base: Options{MaxUops: 10_000}})
@@ -49,6 +54,64 @@ func TestSweepCUCSizeMonotoneEnough(t *testing.T) {
 	// Table 1 size must not lose to the starved one by any real margin.
 	if rows[1].CDFSpeedup < rows[0].CDFSpeedup-0.01 {
 		t.Fatalf("18KB CUC (%.3f) lost to 2KB (%.3f)", rows[1].CDFSpeedup, rows[0].CDFSpeedup)
+	}
+}
+
+// TestSweepPointFailureIsolated: in the size sweeps a kernel whose runs
+// fail at one point still counts at the others. Each point depends only
+// on the reference runs and its own, so an invalid size costs that point
+// and reports its failures, nothing more.
+func TestSweepPointFailureIsolated(t *testing.T) {
+	o := SuiteOptions{Benchmarks: []string{"astar"}, Base: Options{MaxUops: 5_000}}
+	cases := []struct {
+		name   string
+		run    func(t *testing.T) ([]int, error) // the points that got a row
+		points []int
+		failed []Mode // astar's failed runs, in report order
+		cause  string
+	}{
+		{"fig17", func(t *testing.T) ([]int, error) {
+			rows, err := Fig17Scaling(o, []int{8, 352})
+			var points []int
+			for _, r := range rows {
+				points = append(points, r.ROBSize)
+				// The 352-entry point re-runs the reference machine.
+				if r.ROBSize == 352 && r.BaselineIPCRel != 1 {
+					t.Errorf("ROB 352 baseline relative to itself = %v, want 1", r.BaselineIPCRel)
+				}
+			}
+			return points, err
+		}, []int{352}, []Mode{ModeBaseline, ModeCDF}, "PRF too small"},
+		{"cucsweep", func(t *testing.T) ([]int, error) {
+			rows, err := SweepCUCSize(o, []int{-1, 18})
+			var points []int
+			for _, r := range rows {
+				points = append(points, r.CUCKB)
+			}
+			return points, err
+		}, []int{18}, []Mode{ModeCDF}, "CUCKB"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			points, err := c.run(t)
+			if !slices.Equal(points, c.points) {
+				t.Errorf("rows at %v, want %v", points, c.points)
+			}
+			var sweep *SweepError
+			if !errors.As(err, &sweep) {
+				t.Fatalf("err = %v, want *SweepError", err)
+			}
+			var failed []Mode
+			for _, f := range sweep.Failures {
+				if f.Benchmark != "astar" || !strings.Contains(f.Err.Error(), c.cause) {
+					t.Errorf("unexpected failure %v, want astar failing with %q", f, c.cause)
+				}
+				failed = append(failed, f.Mode)
+			}
+			if !slices.Equal(failed, c.failed) {
+				t.Errorf("failed runs %v, want %v", failed, c.failed)
+			}
+		})
 	}
 }
 

@@ -78,9 +78,9 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
-// TestBackoffBudgetExhaustedInOrder drives a retry loop the way runSet
-// does and checks the budget is consumed attempt by attempt, in order,
-// with the delays following the capped schedule.
+// TestBackoffBudgetExhaustedInOrder drives a retry loop the way
+// cdf.CaseExecutor does and checks the budget is consumed attempt by
+// attempt, in order, with the delays following the capped schedule.
 func TestBackoffBudgetExhaustedInOrder(t *testing.T) {
 	b := Backoff{Base: time.Millisecond, Cap: 4 * time.Millisecond, Factor: 2, Jitter: -1}
 	const budget = 4

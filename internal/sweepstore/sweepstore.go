@@ -6,7 +6,7 @@
 // code version) with integrity verification on read, and the capped
 // exponential backoff policy that drives retry of transient failures.
 //
-// The contract with callers (cdf.runSet, the CLIs):
+// The contract with callers (cdf.CaseExecutor, the CLIs):
 //
 //   - Every completed case is written to the cache and journaled *before*
 //     the sweep moves on, so a SIGKILL at any point loses at most the

@@ -9,13 +9,20 @@ package cdf
 // They run the whole suite several times and take a couple of minutes;
 // `go test -short` skips them.
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func suiteOpt() SuiteOptions { return SuiteOptions{Base: Options{MaxUops: 60_000}} }
 
+// fig13Suite simulates the Fig. 13 suite once per test binary; the Fig. 13
+// shape tests all read its rows.
+var fig13Suite = sync.OnceValues(func() ([]Fig13Row, error) { return Fig13Speedup(suiteOpt()) })
+
 func fig13(t *testing.T) []Fig13Row {
 	t.Helper()
-	rows, err := Fig13Speedup(suiteOpt())
+	rows, err := fig13Suite()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // modes, short runs, a fixed seed so the clean reference is reproducible.
 var goldenBenches = []string{"astar", "lbm"}
 
-var goldenModes = []Mode{ModeBaseline, ModeCDF}
+var goldenVariants = []variant{{mode: ModeBaseline}, {mode: ModeCDF}}
 
 func goldenOpt() Options {
 	return Options{MaxUops: 2000, Seed: 7}
@@ -42,13 +42,12 @@ func TestSweepResumeEquivalence(t *testing.T) {
 	prev := sweepstore.SetCodeVersion("golden-test")
 	defer sweepstore.SetCodeVersion(prev)
 
-	opt := goldenOpt()
-	clean, sweepErr := runSet(context.Background(), goldenBenches, goldenModes, opt, SuiteOptions{Jobs: 2})
+	clean, sweepErr := SuiteOptions{Base: goldenOpt(), Jobs: 2}.grid(goldenBenches, goldenVariants)
 	if sweepErr != nil {
-		t.Fatalf("clean sweep failed: %v", sweepErr.orNil())
+		t.Fatalf("clean sweep failed: %v", sweepErr)
 	}
-	if len(clean) != len(goldenBenches)*len(goldenModes) {
-		t.Fatalf("clean sweep produced %d results, want %d", len(clean), len(goldenBenches)*len(goldenModes))
+	if len(clean) != len(goldenBenches) {
+		t.Fatalf("clean sweep produced %d benchmarks, want %d", len(clean), len(goldenBenches))
 	}
 
 	dir := t.TempDir()
@@ -56,7 +55,7 @@ func TestSweepResumeEquivalence(t *testing.T) {
 		rounds    int
 		kills     int
 		totalHits int64
-		final     map[runKey]Result
+		final     [][]*Result
 	)
 	for rounds = 1; rounds <= 50; rounds++ {
 		store, err := sweepstore.Open(dir, rounds > 1)
@@ -79,13 +78,15 @@ func TestSweepResumeEquivalence(t *testing.T) {
 		}
 		store.CorruptPut = chaos.CorruptPut
 		so := SuiteOptions{
+			Base:         goldenOpt(),
 			Jobs:         2,
+			Context:      ctx,
 			Store:        store,
 			Retries:      3,
 			RetryBackoff: fastBackoff(),
 			Chaos:        chaos,
 		}
-		results, sweepErr := runSet(ctx, goldenBenches, goldenModes, opt, so)
+		results, sweepErr := so.grid(goldenBenches, goldenVariants)
 		totalHits += store.Stats().Hits
 		cancel()
 		if cerr := store.Close(); cerr != nil {
@@ -108,16 +109,15 @@ func TestSweepResumeEquivalence(t *testing.T) {
 	}
 	t.Logf("converged after %d round(s), %d injected kill(s), %d cache hit(s)", rounds, kills, totalHits)
 
-	if len(final) != len(clean) {
-		t.Fatalf("resumed sweep produced %d results, want %d", len(final), len(clean))
-	}
-	for k, want := range clean {
-		got, ok := final[k]
-		if !ok {
-			t.Fatalf("resumed sweep missing %s/%s", k.bench, k.mode)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s/%s: resumed result differs from clean run:\n got %+v\nwant %+v", k.bench, k.mode, got, want)
+	for i, b := range goldenBenches {
+		for j, v := range goldenVariants {
+			want, got := clean[i][j], final[i][j]
+			if want == nil || got == nil {
+				t.Fatalf("%s/%s: missing result (clean %v, resumed %v)", b, v.mode, want != nil, got != nil)
+			}
+			if !reflect.DeepEqual(*got, *want) {
+				t.Errorf("%s/%s: resumed result differs from clean run:\n got %+v\nwant %+v", b, v.mode, *got, *want)
+			}
 		}
 	}
 }
