@@ -1,5 +1,11 @@
 package cdf
 
+// stallLogCap is the capacity of a partition's per-cycle NoteStall log. A
+// cycle makes at most one call from each of the critical rename stage, the
+// regular rename stage and the full-window stall check, so four slots leave
+// room to spare.
+const stallLogCap = 4
+
 // Partition dynamically splits one backend structure (ROB, LQ, or SQ)
 // between critical and non-critical sections (§3.5). Stall counters for the
 // two sections drive resizing: when one section causes more full-window
@@ -30,6 +36,13 @@ type Partition struct {
 
 	Grows   uint64
 	Shrinks uint64
+
+	// stallLog holds the critical flag of each NoteStall call since the
+	// last ResetStallLog, in order; stallLogN counts the calls, saturating
+	// one past the capacity to mark an overflow. The core's idle skip
+	// replays one observed cycle's log across the skipped cycles.
+	stallLog  [stallLogCap]bool
+	stallLogN int
 }
 
 // NewPartition builds a partition over a structure of the given capacity.
@@ -70,34 +83,56 @@ func (p *Partition) NoteStall(critical bool) {
 	if p.Frozen {
 		return
 	}
-	if critical {
-		p.critStalls++
-	} else {
-		p.nonCritStalls++
+	if p.stallLogN < stallLogCap {
+		p.stallLog[p.stallLogN] = critical
 	}
-	switch {
-	case p.critStalls >= p.nonCritStalls+p.stallThresh:
-		p.request(p.desired + p.Step)
-		p.critStalls, p.nonCritStalls = 0, 0
-	case p.nonCritStalls >= p.critStalls+p.stallThresh:
-		p.request(p.desired - p.Step)
-		p.critStalls, p.nonCritStalls = 0, 0
+	if p.stallLogN <= stallLogCap {
+		p.stallLogN++
+	}
+	var dir int
+	p.critStalls, p.nonCritStalls, dir = p.count(p.critStalls, p.nonCritStalls, critical)
+	if dir != 0 {
+		p.request(p.desired + dir*p.Step)
 	}
 }
 
+// count adds one stall to the counters (crit, non) and reports the resize
+// the result asks for: +1 grow the critical section, -1 shrink it, 0 none.
+// A crossing resets both counters.
+func (p *Partition) count(crit, non uint64, critical bool) (uint64, uint64, int) {
+	if critical {
+		crit++
+	} else {
+		non++
+	}
+	switch {
+	case crit >= non+p.stallThresh:
+		return 0, 0, +1
+	case non >= crit+p.stallThresh:
+		return 0, 0, -1
+	}
+	return crit, non, 0
+}
+
 func (p *Partition) request(crit int) {
-	if crit < p.MinCrit {
-		crit = p.MinCrit
-	}
-	if crit > p.Total-p.MinNonCrit {
-		crit = p.Total - p.MinNonCrit
-	}
+	crit = p.clamp(crit)
 	if crit > p.desired {
 		p.Grows++
 	} else if crit < p.desired {
 		p.Shrinks++
 	}
 	p.desired = crit
+}
+
+// clamp bounds a critical capacity so both sections keep their minimum.
+func (p *Partition) clamp(crit int) int {
+	if crit < p.MinCrit {
+		crit = p.MinCrit
+	}
+	if crit > p.Total-p.MinNonCrit {
+		crit = p.Total - p.MinNonCrit
+	}
+	return crit
 }
 
 // Apply moves the actual boundary toward the desired one, constrained by
@@ -133,33 +168,58 @@ func (p *Partition) SetDesired(crit int) {
 	if p.Frozen {
 		return
 	}
-	if crit < p.MinCrit {
-		crit = p.MinCrit
-	}
-	if crit > p.Total-p.MinNonCrit {
-		crit = p.Total - p.MinNonCrit
-	}
-	p.desired = crit
+	p.desired = p.clamp(crit)
 }
 
 // Desired returns the target critical capacity (for tests).
 func (p *Partition) Desired() int { return p.desired }
 
-// Stalls returns the two stall counters (critical, non-critical). The
-// core's idle-skip uses them to bound how many stalled cycles it may
-// replay before a NoteStall threshold crossing would resize the partition.
+// Stalls returns the two stall counters (critical, non-critical).
 func (p *Partition) Stalls() (crit, nonCrit uint64) { return p.critStalls, p.nonCritStalls }
 
-// StallThresh returns the resize threshold.
-func (p *Partition) StallThresh() uint64 { return p.stallThresh }
+// ResetStallLog empties the NoteStall log; the core calls it before a cycle
+// it observes for the idle skip, so the log then holds that cycle's calls.
+func (p *Partition) ResetStallLog() { p.stallLogN = 0 }
 
-// AddStalls bulk-applies k idle cycles' worth of NoteStall deltas (dc
-// critical and dn non-critical stalls per cycle). The caller guarantees no
-// threshold crossing occurs within the k cycles.
-func (p *Partition) AddStalls(dc, dn, k uint64) {
-	if p.Frozen {
-		return
+// ReplayBound dry-runs the logged NoteStall sequence once per cycle, from
+// the current counters, for up to k cycles. It returns how many cycles n
+// replay without moving the desired split, and the counters after them. The
+// dry-run stops before the first cycle in which a crossing would grow or
+// shrink the target; a crossing whose clamped request equals the current
+// target only resets the counters, and the dry-run passes through it. ok is
+// false when the log overflowed. A frozen partition logs nothing, so it
+// replays as a no-op.
+func (p *Partition) ReplayBound(k uint64) (n, crit, non uint64, ok bool) {
+	crit, non = p.critStalls, p.nonCritStalls
+	if p.stallLogN > stallLogCap {
+		return 0, crit, non, false
 	}
-	p.critStalls += dc * k
-	p.nonCritStalls += dn * k
+	if p.stallLogN == 0 {
+		return k, crit, non, true
+	}
+	moves := [3]bool{ // indexed by crossing direction + 1
+		p.clamp(p.desired-p.Step) != p.desired, false, p.clamp(p.desired+p.Step) != p.desired,
+	}
+	log := p.stallLog[:p.stallLogN]
+	for ; n < k; n++ {
+		c, nc := crit, non
+		for _, critical := range log {
+			var dir int
+			if c, nc, dir = p.count(c, nc, critical); moves[dir+1] {
+				return n, crit, non, true
+			}
+		}
+		crit, non = c, nc
+	}
+	return n, crit, non, true
+}
+
+// Replay applies the logged NoteStall sequence for k cycles, with the
+// effect k cycles of real calls would have. k must be within ReplayBound.
+func (p *Partition) Replay(k uint64) {
+	n, crit, non, ok := p.ReplayBound(k)
+	if !ok || n < k {
+		panic("cdf: partition replay past its bound")
+	}
+	p.critStalls, p.nonCritStalls = crit, non
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"cdf/internal/isa"
 	"cdf/internal/stats"
@@ -687,9 +686,9 @@ func (c *Core) retireEntry(e *entry) {
 // and stream bookkeeping has been undone.
 func (c *Core) collectFlush(seq uint64, sub uint32, inclusive bool) {
 	c.work = true
-	scratch := c.robCrit.flushYounger(seq, sub, inclusive, c.flushScratch[:0])
-	scratch = c.robNon.flushYounger(seq, sub, inclusive, scratch)
-	removed := scratch
+	crit := c.robCrit.flushYounger(seq, sub, inclusive, c.flushScratch[:0])
+	removed := c.robNon.flushYounger(seq, sub, inclusive, crit)
+	c.flushScratch = removed[:0]
 
 	drop := func(e *entry) bool {
 		if inclusive {
@@ -766,16 +765,13 @@ func (c *Core) collectFlush(seq uint64, sub uint32, inclusive bool) {
 		c.traceMode(fmt.Sprintf("flush %d uops younger than %d.%d", len(removed), seq, sub))
 	}
 
-	// Undo renames youngest-first.
-	slices.SortFunc(removed, func(a, b *entry) int {
-		switch {
-		case b.before(a):
-			return -1
-		case a.before(b):
-			return 1
-		}
-		return 0
-	})
+	// Undo renames youngest-first. Each ROB section's removals are already
+	// a youngest-first run; merge the two when both are non-empty (outside
+	// CDF episodes the critical run always is).
+	if n := len(crit); n > 0 && n < len(removed) {
+		c.flushMerge = mergeYoungestFirst(c.flushMerge[:0], removed[:n], removed[n:])
+		removed = c.flushMerge
+	}
 	for _, e := range removed {
 		if !e.hasDst() {
 			continue
@@ -803,10 +799,21 @@ func (c *Core) collectFlush(seq uint64, sub uint32, inclusive bool) {
 		c.clearStreamCrit(e)
 		c.pool.put(e)
 	}
-	c.flushScratch = removed[:0]
 	if !c.cfg.SlowPath {
 		c.schedRebuild()
 	}
+}
+
+// mergeYoungestFirst appends to dst the merge of two youngest-first runs.
+func mergeYoungestFirst(dst, a, b []*entry) []*entry {
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].before(a[0]) {
+			dst, a = append(dst, a[0]), a[1:]
+		} else {
+			dst, b = append(dst, b[0]), b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
 }
 
 // clearStreamCrit erases a critical entry's stream-record linkage (no-op

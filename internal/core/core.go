@@ -99,6 +99,7 @@ type Core struct {
 	// scratch buffer, so the steady-state loop never heap-allocates.
 	pool         entryPool
 	flushScratch []*entry
+	flushMerge   []*entry
 
 	// Fast-path scheduler state (see sched.go; unused when cfg.SlowPath).
 	// readyList holds RS entries whose operands are available, in program
@@ -111,11 +112,10 @@ type Core struct {
 	// work records whether the current cycle changed machine state beyond
 	// the per-cycle counters the idle skip replicates (see skip.go).
 	work bool
-	// The observed cycle's counters, signature and partition stall counts
-	// (filled only when Cycle observes), and its counter deltas (trySkip).
+	// The observed cycle's counters and signature (filled only when Cycle
+	// observes), and its counter deltas (trySkip).
 	obsStats  stats.Stats
 	obsSig    coreSig
-	obsParts  [3]partSnap
 	skipDelta stats.Stats
 
 	// Criticality machinery.
@@ -161,11 +161,12 @@ type Core struct {
 	checkErr    error
 
 	// Debug hooks (tests only).
-	debugVerifySkip  bool            // check skips against real simulation
-	skipPred         *skipPrediction // pending skip-verifier prediction
-	debugViol        func(e *entry, reg int)
-	debugBlockRetire func() bool // when set and true, retire stalls (watchdog tests)
-	lastPoisonWriter [32]string
+	debugVerifySkip   bool                     // check skips against real simulation
+	skipPred          *skipPrediction          // pending skip-verifier prediction
+	debugSkipRefusals *[numSkipRefusals]uint64 // trySkip refusals by reason
+	debugViol         func(e *entry, reg int)
+	debugBlockRetire  func() bool // when set and true, retire stalls (watchdog tests)
+	lastPoisonWriter  [32]string
 
 	// Forward-progress watchdog anchor: retired count and cycle of the
 	// last observed retirement.
@@ -367,7 +368,7 @@ func (c *Core) Cycle() {
 	if observe {
 		c.obsStats = *c.st
 		c.obsSig = c.sig()
-		c.obsParts = c.partSnaps()
+		c.resetStallLogs()
 	}
 	c.work = false
 

@@ -100,7 +100,8 @@ func (p *entryPool) put(e *entry) {
 	if e.pooled {
 		panic(errInternal("entry %d.%d recycled twice", e.seq, e.sub))
 	}
-	*e = entry{pooled: true}
+	*e = entry{}
+	e.pooled = true
 	p.free = append(p.free, e)
 }
 

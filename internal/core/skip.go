@@ -14,32 +14,35 @@ import (
 // those cycles by observation rather than prediction:
 //
 //  1. A cycle is *observed* when the previous cycle did no work (c.work):
-//     before the stages run, the whitelisted counters, a compact signature
-//     of the mutable machine state, and the partition stall counters are
-//     snapshotted.
+//     before the stages run, the whitelisted counters and a compact
+//     signature of the mutable machine state are snapshotted, and each
+//     partition's NoteStall log is emptied so it records this cycle's calls.
 //  2. After the stages, if the cycle again did no work, the signature is
 //     unchanged, and the statistics moved only in the per-idle-cycle
 //     whitelist (stats.DeltaSince), the cycle is provably a fixed point:
-//     re-running it can only reproduce the same deltas.
+//     re-running it can only reproduce the same deltas and the same
+//     NoteStall call sequence.
 //  3. nextEvent computes the earliest future cycle E at which anything can
 //     behave differently — an execution completing, an outstanding LLC miss
 //     draining (which changes the MLP sample), a frontend stall expiring, a
-//     decode-pipe entry becoming visible, the watchdog or cycle budget
-//     firing, or a partition resize threshold crossing. The clock then
-//     jumps straight to E, replaying the observed per-cycle delta for the
-//     skipped cycles (stats.AddDelta, Partition.AddStalls).
+//     decode-pipe entry becoming visible, or the watchdog or cycle budget
+//     firing. Each partition then dry-runs its logged call sequence cycle
+//     by cycle (Partition.ReplayBound) and stops the jump before the first
+//     cycle in which a threshold crossing would resize it; crossings that
+//     clamp to the current target only reset the counters and are replayed.
+//     The clock jumps to the bound, replaying the observed per-cycle delta
+//     (stats.AddDelta) and call sequence (Partition.Replay) for the skipped
+//     cycles.
 //
-// The jump is exact by construction: cycle E executes for real, and every
-// skipped cycle's full effect is the replicated delta. Equivalence tests
-// compare fast and slow (-slowpath) runs bit-for-bit.
-
-// partSnap is one partition's stall counters at observation time.
-type partSnap struct{ crit, non uint64 }
+// The jump is exact by construction: the cycle at the bound executes for
+// real, and every skipped cycle's full effect is the replayed one.
+// Equivalence tests compare fast and slow (-slowpath) runs bit-for-bit.
 
 // coreSig is a comparable snapshot of the machine state that must be frozen
 // for a cycle to be a skippable fixed point. Anything mutable outside the
-// statistics whitelist and the partition stall counters either appears here
-// or is covered by the work-flag discipline (mutating sites set c.work).
+// statistics whitelist and the partition stall counters (replayed from the
+// NoteStall log) either appears here or is covered by the work-flag
+// discipline (mutating sites set c.work).
 type coreSig struct {
 	robCritLen, robNonLen   int
 	lqLen, sqLen            int
@@ -139,7 +142,7 @@ func (c *Core) sig() coreSig {
 		rfFree: len(c.rf.free), rfCritInFlight: c.rf.critInFlight,
 		rfCritForked: c.rf.critForked,
 	}
-	for i, p := range [3]*cdf.Partition{c.robPart, c.lqPart, c.sqPart} {
+	for i, p := range c.partitions() {
 		if p == nil {
 			continue
 		}
@@ -160,13 +163,20 @@ func (c *Core) skipEligible() bool {
 		(c.runahead == nil || c.runahead.Idle())
 }
 
-func (c *Core) partSnaps() (out [3]partSnap) {
-	for i, p := range [3]*cdf.Partition{c.robPart, c.lqPart, c.sqPart} {
+// partitions returns the ROB, LQ and SQ partitions (all nil outside the CDF
+// modes).
+func (c *Core) partitions() [3]*cdf.Partition {
+	return [3]*cdf.Partition{c.robPart, c.lqPart, c.sqPart}
+}
+
+// resetStallLogs empties the partitions' NoteStall logs before an observed
+// cycle.
+func (c *Core) resetStallLogs() {
+	for _, p := range c.partitions() {
 		if p != nil {
-			out[i].crit, out[i].non = p.Stalls()
+			p.ResetStallLog()
 		}
 	}
-	return out
 }
 
 // nextEvent returns the earliest future cycle at which the machine can
@@ -257,86 +267,99 @@ func (c *Core) nextEvent() (uint64, bool) {
 }
 
 // trySkip runs after the stages of an observed cycle. If the cycle proved
-// to be an idle fixed point, jump the clock to the next event, replaying
-// the observed per-cycle deltas for the skipped cycles.
+// to be an idle fixed point, jump the clock to the next event — or to the
+// first partition resize before it — replaying the observed per-cycle
+// deltas and NoteStall calls for the skipped cycles.
 func (c *Core) trySkip() {
 	if c.skipPred != nil {
 		return
 	}
 	if c.sig() != c.obsSig {
+		c.refuseSkip(refuseSig)
 		return
 	}
 	d := &c.skipDelta
 	if !c.st.DeltaSince(&c.obsStats, d) {
+		c.refuseSkip(refuseDelta)
 		return
-	}
-	parts := [3]*cdf.Partition{c.robPart, c.lqPart, c.sqPart}
-	var dcs, dns [3]uint64
-	for i, p := range parts {
-		if p == nil {
-			continue
-		}
-		crit, non := p.Stalls()
-		prev := c.obsParts[i]
-		if crit < prev.crit || non < prev.non {
-			return // a resize threshold fired and reset the counters
-		}
-		dcs[i], dns[i] = crit-prev.crit, non-prev.non
 	}
 	target, ok := c.nextEvent()
 	if !ok || target <= c.now {
+		c.refuseSkip(refuseNoEvent)
 		return
 	}
-	k := target - c.now // skipped cycles: now .. target-1; resume at target
-	// Cap k so no partition's NoteStall threshold can cross mid-skip (the
-	// crossing resets counters and resizes — that cycle must run for real).
-	// Conservative: intermediate values within a cycle stay within
-	// |diff| + (dc+dn)*m of the pre-skip imbalance.
-	for i, p := range parts {
-		if p == nil || dcs[i]+dns[i] == 0 || p.Frozen {
+	k := target - c.now // skipped cycles: now .. now+k-1; resume at now+k
+	parts := c.partitions()
+	for _, p := range parts {
+		if p == nil {
 			continue
 		}
-		crit, non := p.Stalls()
-		diff := int64(crit) - int64(non)
-		if diff < 0 {
-			diff = -diff
-		}
-		headroom := int64(p.StallThresh()) - 1 - diff
-		if headroom <= 0 {
+		n, _, _, ok := p.ReplayBound(k)
+		if !ok {
+			c.refuseSkip(refusePartition)
 			return
 		}
-		if maxK := uint64(headroom) / (dcs[i] + dns[i]); maxK < k {
-			k = maxK
-		}
+		k = n
 	}
 	if k == 0 {
+		c.refuseSkip(refuseZeroK)
 		return
 	}
 	if c.debugVerifySkip {
-		// Test-only verification: predict the post-skip statistics, then
-		// simulate the k cycles for real and compare (verifySkipPrediction).
-		want := *c.st
-		want.AddDelta(d, k)
-		c.skipPred = &skipPrediction{at: c.now + k, want: want, sig: c.obsSig}
+		// Test-only verification: predict the post-skip statistics and
+		// partition counters, then simulate the k cycles for real and
+		// compare (verifySkipPrediction).
+		pred := &skipPrediction{at: c.now + k, want: *c.st, sig: c.obsSig}
+		pred.want.AddDelta(d, k)
+		for i, p := range parts {
+			if p != nil {
+				_, pred.stalls[i].crit, pred.stalls[i].non, _ = p.ReplayBound(k)
+			}
+		}
+		c.skipPred = pred
 		return
 	}
 	c.st.AddDelta(d, k)
-	for i, p := range parts {
+	for _, p := range parts {
 		if p != nil {
-			p.AddStalls(dcs[i], dns[i], k)
+			p.Replay(k)
 		}
 	}
 	c.now += k
 }
 
-// skipPrediction is the pending check of the test-only skip verifier (see
-// Core.debugVerifySkip): the statistics and signature the skip would have
-// produced by jumping, to be compared against real simulation at cycle at.
-type skipPrediction struct {
-	at   uint64
-	want stats.Stats
-	sig  coreSig
+// skipRefusal names why trySkip left an observed cycle unskipped; the
+// test-only Core.debugSkipRefusals counts them.
+type skipRefusal int
+
+const (
+	refuseSig       skipRefusal = iota // machine signature changed
+	refuseDelta                        // a counter outside the idle whitelist moved
+	refuseNoEvent                      // no next event, or it is the next cycle
+	refusePartition                    // a partition's NoteStall log overflowed
+	refuseZeroK                        // a partition resizes in the first skipped cycle
+	numSkipRefusals
+)
+
+func (c *Core) refuseSkip(r skipRefusal) {
+	if c.debugSkipRefusals != nil {
+		c.debugSkipRefusals[r]++
+	}
 }
+
+// skipPrediction is the pending check of the test-only skip verifier (see
+// Core.debugVerifySkip): the statistics, signature and partition stall
+// counters the skip would have produced by jumping, to be compared against
+// real simulation at cycle at.
+type skipPrediction struct {
+	at     uint64
+	want   stats.Stats
+	sig    coreSig
+	stalls [3]partStalls // ROB, LQ, SQ
+}
+
+// partStalls is one partition's (critical, non-critical) stall counters.
+type partStalls struct{ crit, non uint64 }
 
 func (c *Core) verifySkipPrediction() {
 	p := c.skipPred
@@ -345,14 +368,25 @@ func (c *Core) verifySkipPrediction() {
 		panic(errInternal("skip verifier: machine state changed during predicted-idle stretch ending at cycle %d:\n pred %+v\n got  %+v",
 			c.now, p.sig, c.sig()))
 	}
+	var diff strings.Builder
 	if *c.st != p.want {
-		var diff strings.Builder
 		pred, got := p.want.Table(), c.st.Table()
 		for i := range got {
 			if got[i] != pred[i] {
 				fmt.Fprintf(&diff, "\n %s: pred %v got %v", got[i].Name, pred[i].Value, got[i].Value)
 			}
 		}
-		panic(errInternal("skip verifier: statistics diverge at cycle %d:%s", c.now, diff.String()))
+	}
+	for i, part := range c.partitions() {
+		if part == nil {
+			continue
+		}
+		var got partStalls
+		if got.crit, got.non = part.Stalls(); got != p.stalls[i] {
+			fmt.Fprintf(&diff, "\n %s_partition_stalls: pred %+v got %+v", [3]string{"rob", "lq", "sq"}[i], p.stalls[i], got)
+		}
+	}
+	if diff.Len() > 0 {
+		panic(errInternal("skip verifier: counters diverge at cycle %d:%s", c.now, diff.String()))
 	}
 }
