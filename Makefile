@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags experiments-check shellcheck bench bench-smoke bench-test ci clean
+.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags experiments-check golden-check shellcheck bench bench-smoke bench-test ci clean
 
 all: build
 
@@ -82,6 +82,16 @@ cli-flags:
 experiments-check:
 	scripts/experiments.sh
 
+# The benchmark's simulated results: one short pass of each simulation
+# workload at seed 1 must reproduce bench/golden.json bit for bit (the
+# benchmark exits 1 on any differing result). Full and sampled runs are
+# checked against recorded results, not just against each other. ~20 s
+# plus the build on 2 vCPUs.
+golden-check:
+	bash bench/run.sh --workload sweep --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload sampled --seed 1 --seconds 1 --trace 0
+	bash bench/run.sh --workload frontend --seed 1 --seconds 1 --trace 0
+
 # Lint the smoke scripts. Skips gracefully where shellcheck is not
 # installed (CI's ubuntu runners have it).
 shellcheck:
@@ -117,7 +127,7 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags experiments-check shellcheck
+ci: fmt vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags experiments-check golden-check shellcheck
 
 clean:
 	$(GO) clean ./...

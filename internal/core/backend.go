@@ -468,7 +468,7 @@ func (c *Core) execute(e *entry) {
 		e.doneAt = res.Done
 		e.llcMiss = res.LLCMiss
 		e.issuedMem = true
-		c.noteLoadLine(e.addr / c.cfg.Mem.LineBytes)
+		c.wp.note(e.addr / c.cfg.Mem.LineBytes)
 
 	case e.op.IsStore():
 		if !e.wrongPath {

@@ -118,24 +118,15 @@ type Core struct {
 	obsSig    coreSig
 	skipDelta stats.Stats
 
-	// Criticality machinery.
-	loadCCT     *cdf.CountTable
-	branchCCT   *cdf.CountTable
-	maskc       *cdf.MaskCache
-	cuc         *cdf.UopCache
-	fb          *cdf.FillBuffer
-	collecting  bool
-	machBusy    uint64 // criticality machinery busy (walk in progress) until
-	lastEpochAt uint64 // retired count at last collection epoch start
-	lastMaskRst uint64
+	// Criticality machinery, shared with the warmer it was adopted from.
+	crit     *criticality
+	machBusy uint64 // criticality machinery busy (walk in progress) until
 
 	// posBase is the absolute program position (in executed uops) of this
 	// core's first instruction — zero for a full run, the checkpoint
-	// position for a sampled interval core. The epoch anchors above are
-	// stored relative to it (lastX_abs = posBase + lastX, with uint64
-	// wraparound carrying anchors that predate the checkpoint), so the
-	// periodic criticality cycles — mask decay, walk epochs — fire at the
-	// same absolute positions they would in a continuous run.
+	// position for a sampled interval core. crit trains at posBase+retired,
+	// so the periodic criticality cycles — mask decay, walk epochs — fire
+	// at the same absolute positions they would in a continuous run.
 	posBase uint64
 
 	// Precise Runahead.
@@ -144,9 +135,7 @@ type Core struct {
 	preStalled  bool
 
 	// Wrong-path load address synthesis.
-	rng          uint64
-	recentLines  [64]uint64
-	recentN      int
+	wp           wpLines
 	wpMissBudget int
 	wpBudgetSeq  uint64
 
@@ -243,7 +232,11 @@ func NewAt(cfg Config, p *prog.Program, em *emu.Emulator, w *Warmer) (*Core, err
 		prg:  p,
 		strm: newStream(em),
 		rf:   newRegFile(cfg.PRFSize),
-		rng:  cfg.Seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
+		crit: w.crit,
+		// Inherit the warmer's clock: the criticality cycles continue from
+		// where warming left them. For a cold warmer this is zero.
+		posBase: w.pos,
+		wp:      wpLines{rng: cfg.Seed*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03},
 	}
 	// The hierarchy counts into this core's stats from now on, and every
 	// cycle-valued piece of its state (MSHRs, DRAM schedules) is dropped:
@@ -257,18 +250,6 @@ func NewAt(cfg Config, p *prog.Program, em *emu.Emulator, w *Warmer) (*Core, err
 	for _, b := range p.Blocks {
 		c.blockByPC[p.BlockPC(b.ID)] = b.ID
 	}
-
-	c.loadCCT = w.loadCCT
-	c.branchCCT = w.branchCCT
-	c.maskc = w.maskc
-	c.cuc = w.cuc
-	c.fb = w.fb
-	// Inherit the warmer's epoch clock: the criticality cycles continue
-	// from where warming left them rather than restarting. For a cold
-	// warmer all three are zero and this is a no-op.
-	c.posBase = w.pos
-	c.lastMaskRst = w.lastMaskRst - w.pos
-	c.lastEpochAt = w.lastEpochAt - w.pos
 
 	if cfg.Front.Enabled {
 		c.fr = newFrontEng(cfg, w, c)
@@ -291,8 +272,8 @@ func NewAt(cfg Config, p *prog.Program, em *emu.Emulator, w *Warmer) (*Core, err
 			LineBytes:     cfg.Mem.LineBytes,
 			WrongLoadFrac: cfg.WrongPathLoadFrac,
 			Seed:          cfg.Seed,
-		}, pre.Deps{CUC: c.cuc, Pred: c.pred, Oracle: c, Mem: c.hier, Prog: p, Stats: st,
-			RecentLine: c.randomRecentLine})
+		}, pre.Deps{CUC: c.crit.cuc, Pred: c.pred, Oracle: c, Mem: c.hier, Prog: p, Stats: st,
+			RecentLine: c.wp.pick})
 	}
 	return c, nil
 }
@@ -307,7 +288,7 @@ func (c *Core) Hierarchy() *mem.Hierarchy { return c.hier }
 func (c *Core) Predictor() *branch.Predictor { return c.pred }
 
 // UopCache exposes the Critical Uop Cache (for tests).
-func (c *Core) UopCache() *cdf.UopCache { return c.cuc }
+func (c *Core) UopCache() *cdf.UopCache { return c.crit.cuc }
 
 // Cycles returns the current cycle.
 func (c *Core) Cycles() uint64 { return c.now }
@@ -468,7 +449,7 @@ func (c *Core) endOfCycle() {
 				if !c.preStalled || c.preStallSeq != head.seq {
 					c.preStalled, c.preStallSeq = true, head.seq
 					if c.cfg.Mode == ModePRE {
-						c.loadCCT.Update(head.dyn.PC, true)
+						c.crit.loadCCT.Update(head.dyn.PC, true)
 					}
 					free := c.cfg.RSSize - c.rsLen
 					if f := c.rf.freeCount(); f < free {

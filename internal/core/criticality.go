@@ -1,77 +1,154 @@
 package core
 
-import "cdf/internal/cdf"
+import (
+	"cdf/internal/cdf"
+	"cdf/internal/emu"
+	"cdf/internal/prog"
+)
 
-// trainCriticality runs the retire-side CDF machinery (§3.2): Critical
-// Count Table updates, Fill Buffer collection, walks, Mask Cache resets,
-// and the density-driven counter selection. It runs for ModeCDF, ModePRE
-// (with PRE's restricted marking), and observe-only baselines.
-func (c *Core) trainCriticality(e *entry) {
-	machineryOn := c.cfg.Mode != ModeBaseline || c.cfg.TrainCriticality
-	if !machineryOn {
-		return
+// criticality is the retire-side CDF machinery (§3.2): the Critical Count
+// Tables, the Mask Cache, the Critical Uop Cache, the Fill Buffer, and the
+// epoch state that schedules walks and mask decay. One instance is built
+// per Warmer and adopted by pointer by every core that takes the warmer's
+// structures, so functional warming and cycle-accurate retirement train
+// the same tables on the same clock.
+type criticality struct {
+	on        bool // machinery runs (every mode but plain baseline)
+	mode      Mode
+	cc        cdf.Config // cfg.effectiveCDF()
+	lineBytes uint64
+	prg       *prog.Program
+
+	loadCCT   *cdf.CountTable
+	branchCCT *cdf.CountTable
+	maskc     *cdf.MaskCache
+	cuc       *cdf.UopCache
+	fb        *cdf.FillBuffer
+
+	// collecting is set while the Fill Buffer gathers an epoch's uops.
+	// lastEpochAt and lastMaskRst are absolute program positions (executed
+	// uops from program entry): the last walk and the last mask decay fire
+	// at the same positions in a sampled run as in a continuous one.
+	collecting  bool
+	lastEpochAt uint64
+	lastMaskRst uint64
+
+	walk cdf.WalkResult // the last walk's result (see train)
+}
+
+func newCriticality(cfg Config, p *prog.Program) *criticality {
+	cc := cfg.effectiveCDF()
+	k := &criticality{
+		on:        cfg.Mode != ModeBaseline || cfg.TrainCriticality,
+		mode:      cfg.Mode,
+		cc:        cc,
+		lineBytes: cfg.Mem.LineBytes,
+		prg:       p,
 	}
+	k.loadCCT = cdf.NewCountTable(cc.CCTEntries, cc.CCTWays,
+		cc.LoadStrictMax, cc.LoadStrictThresh, cc.LoadPermMax, cc.LoadPermThresh, 1)
+	k.branchCCT = cdf.NewCountTable(cc.CCTEntries, cc.CCTWays,
+		cc.BranchStrictMax, cc.BranchStrictThresh, cc.BranchPermMax, cc.BranchPermThresh,
+		cc.BranchMispredictWeight)
+	k.maskc = cdf.NewMaskCache(cc.MaskEntries, cc.MaskWays)
+	k.cuc = cdf.NewUopCache(cc.CUCLines, cc.CUCWays, cc.CUCLineUops)
+	k.fb = cdf.NewFillBuffer(cc, k.maskc, k.cuc)
+	return k
+}
 
-	// Counter training. PRE marks only loads that cause full-window stalls
-	// (done at stall onset in endOfCycle), so per-retire updates are
-	// CDF-only.
-	if c.cfg.Mode != ModePRE {
-		if e.op.IsLoad() {
-			c.loadCCT.Update(e.dyn.PC, e.llcMiss)
+// train feeds one retired (or, while warming, executed) uop at absolute
+// program position pos to the machinery: Critical Count Table updates,
+// Mask Cache decay every MaskResetInterval positions, and Fill Buffer
+// collection epochs — every WalkInterval positions, collect FillBufferSize
+// uops and walk them. busy suspends collection while the previous walk is
+// still in progress. When this uop completed an epoch it returns the
+// walk's result, for the caller to charge its latency and statistics;
+// otherwise nil.
+//
+// PRE marks only loads that cause full-window stalls, at stall onset, so
+// per-uop counter updates are for the other modes.
+func (k *criticality) train(d *emu.DynUop, pos uint64, llcMiss, mispredict, busy bool) *cdf.WalkResult {
+	if !k.on {
+		return nil
+	}
+	op := d.U.Op
+	markBranches := k.cc.MarkCriticalBranches && k.mode != ModePRE
+	if k.mode != ModePRE {
+		if op.IsLoad() {
+			k.loadCCT.Update(d.PC, llcMiss)
 		}
-		if e.op.IsCondBranch() && c.cfg.CDF.MarkCriticalBranches {
-			c.branchCCT.Update(e.dyn.PC, e.mispredict)
+		if op.IsCondBranch() && markBranches {
+			k.branchCCT.Update(d.PC, mispredict)
 		}
 	}
 
-	// Mask Cache decay.
-	if c.retired-c.lastMaskRst >= c.cfg.CDF.MaskResetInterval {
-		c.maskc.Reset()
-		c.lastMaskRst = c.retired
+	if pos-k.lastMaskRst >= k.cc.MaskResetInterval {
+		k.maskc.Reset()
+		k.lastMaskRst = pos
 	}
 
-	// Fill Buffer collection epochs: every WalkInterval retired uops,
-	// collect FillBufferSize retired uops and walk them — unless the
-	// machinery is still busy with the previous walk.
-	if c.now < c.machBusy {
-		return
+	if busy {
+		return nil
 	}
-	if !c.collecting {
-		if c.retired-c.lastEpochAt < c.cfg.CDF.WalkInterval {
-			return
+	if !k.collecting {
+		if pos-k.lastEpochAt < k.cc.WalkInterval {
+			return nil
 		}
-		c.collecting = true
+		k.collecting = true
 	}
 
-	blk := c.prg.Blocks[e.dyn.BlockID]
+	blk := k.prg.Blocks[d.BlockID]
 	rec := cdf.Record{
-		PC:           e.dyn.PC,
-		BlockPC:      c.prg.BlockPC(e.dyn.BlockID),
-		Index:        e.dyn.Index,
+		PC:           d.PC,
+		BlockPC:      k.prg.BlockPC(d.BlockID),
+		Index:        d.Index,
 		BlockLen:     len(blk.Uops),
 		EndsInBranch: blk.EndsInBranch(),
-		Op:           e.dyn.U.Op,
-		Dst:          e.dyn.U.Dst,
-		Src1:         e.dyn.U.Src1,
-		Src2:         e.dyn.U.Src2,
+		Op:           op,
+		Dst:          d.U.Dst,
+		Src1:         d.U.Src1,
+		Src2:         d.U.Src2,
 	}
-	if e.op.IsMem() {
-		rec.MemLine = e.dyn.Addr / c.cfg.Mem.LineBytes
+	if op.IsMem() {
+		rec.MemLine = d.Addr / k.lineBytes
 	}
 	switch {
-	case e.op.IsLoad():
-		rec.Seed = c.loadCCT.Predict(e.dyn.PC)
-	case e.op.IsCondBranch() && c.cfg.CDF.MarkCriticalBranches && c.cfg.Mode != ModePRE:
-		rec.Seed = c.branchCCT.Predict(e.dyn.PC)
+	case op.IsLoad():
+		rec.Seed = k.loadCCT.Predict(d.PC)
+	case op.IsCondBranch() && markBranches:
+		rec.Seed = k.branchCCT.Predict(d.PC)
 	}
-	c.fb.Insert(rec)
+	k.fb.Insert(rec)
 
-	if !c.fb.Full() {
+	if !k.fb.Full() {
+		return nil
+	}
+	k.walk = k.fb.Walk()
+	res := &k.walk
+	k.collecting = false
+	k.lastEpochAt = pos
+
+	// Dynamic counter selection (§3.2): too few instructions marked
+	// critical -> switch to the permissive counters; plenty -> strict.
+	switch {
+	case res.Density < k.cc.DensityLo:
+		k.loadCCT.UsePermissive(true)
+		k.branchCCT.UsePermissive(true)
+	case res.Density > k.cc.DensityHi:
+		k.loadCCT.UsePermissive(false)
+		k.branchCCT.UsePermissive(false)
+	}
+	return res
+}
+
+// trainCriticality runs the criticality machinery on retiring entry e and
+// charges a completed walk: the machinery stays busy for the walk's
+// latency, which also gates CDF-mode entry.
+func (c *Core) trainCriticality(e *entry) {
+	res := c.crit.train(&e.dyn, c.posBase+c.retired, e.llcMiss, e.mispredict, c.now < c.machBusy)
+	if res == nil {
 		return
 	}
-	res := c.fb.Walk()
-	c.collecting = false
-	c.lastEpochAt = c.retired
 	c.machBusy = c.now + res.Latency
 	c.st.FillBufferWalks++
 	c.st.TracesInstalled += uint64(res.Installs)
@@ -80,16 +157,5 @@ func (c *Core) trainCriticality(e *entry) {
 	}
 	if res.TooDense {
 		c.st.WalksRejectedDense++
-	}
-
-	// Dynamic counter selection (§3.2): too few instructions marked
-	// critical -> switch to the permissive counters; plenty -> strict.
-	switch {
-	case res.Density < c.cfg.CDF.DensityLo:
-		c.loadCCT.UsePermissive(true)
-		c.branchCCT.UsePermissive(true)
-	case res.Density > c.cfg.CDF.DensityHi:
-		c.loadCCT.UsePermissive(false)
-		c.branchCCT.UsePermissive(false)
 	}
 }

@@ -23,11 +23,13 @@
 //
 // # The CDF mechanism (§3 -> code)
 //
-//   - §3.2 identification/storage: at retire, trainCriticality
-//     (criticality.go) updates the Critical Count Tables and, every
-//     WalkInterval uops, collects FillBufferSize retired uops; the
-//     backwards dataflow walk and trace installation live in
-//     internal/cdf (fillbuffer.go there), writing the Mask Cache and
+//   - §3.2 identification/storage: criticality.train (criticality.go)
+//     updates the Critical Count Tables, decays the Mask Cache and, every
+//     WalkInterval uops, collects FillBufferSize uops and walks them. The
+//     core calls it at retire (trainCriticality), the sampled-mode Warmer
+//     while fast-forwarding; both share one instance on absolute program
+//     positions. The backwards dataflow walk and trace installation live
+//     in internal/cdf (fillbuffer.go there), writing the Mask Cache and
 //     Critical Uop Cache.
 //
 //   - §3.3 fetching critical instructions OoO: on a Critical Uop Cache hit

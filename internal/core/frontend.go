@@ -3,7 +3,10 @@ package core
 import (
 	"fmt"
 
+	"cdf/internal/branch"
+	"cdf/internal/emu"
 	"cdf/internal/isa"
+	"cdf/internal/prog"
 )
 
 // fetch runs both fetch engines for one cycle: the CDF critical fetcher
@@ -21,14 +24,21 @@ func (c *Core) fetch() {
 // actualTarget returns the resolved next PC of a taken branch.
 func actualTarget(d *streamRec) uint64 { return d.dyn.NextPC }
 
-// retContinuationPC returns the return continuation a call pushes: the PC
-// right after the call (its block's fallthrough start).
-func (c *Core) retContinuationPC(rec *streamRec) uint64 {
-	blk := c.prg.Blocks[rec.dyn.BlockID]
+// retContinuationPC returns the return continuation a call d pushes: the
+// PC right after the call (its block's fallthrough start).
+func retContinuationPC(p *prog.Program, d *emu.DynUop) uint64 {
+	blk := p.Blocks[d.BlockID]
 	if blk.Fallthrough >= 0 {
-		return c.prg.BlockPC(blk.Fallthrough)
+		return p.BlockPC(blk.Fallthrough)
 	}
-	return rec.dyn.PC + 8
+	return d.PC + 8
+}
+
+// wrongPrediction reports whether prediction pr of branch d is a
+// mispredict: a wrong direction, or a wrong target from a BTB hit. A BTB
+// miss with the right direction is a re-steer, not a mispredict.
+func wrongPrediction(pr branch.Prediction, d *emu.DynUop) bool {
+	return pr.Taken != d.Taken || d.Taken && pr.TargetHit && pr.Target != d.NextPC
 }
 
 // --- regular fetch engine ---
@@ -88,14 +98,14 @@ func (c *Core) regFetch() {
 
 		// Observe-only criticality marking for Fig. 1 sampling.
 		if c.cfg.TrainCriticality && !rec.markedCritical && dyn.Index < 64 {
-			if tr, ok := c.cuc.Probe(c.prg.BlockPC(dyn.BlockID)); ok && tr.Mask&(1<<uint(dyn.Index)) != 0 {
+			if tr, ok := c.crit.cuc.Probe(c.prg.BlockPC(dyn.BlockID)); ok && tr.Mask&(1<<uint(dyn.Index)) != 0 {
 				rec.markedCritical = true
 			}
 		}
 
 		// CDF mode entry: a Critical Uop Cache hit at a block boundary.
 		if (c.cfg.Mode == ModeCDF || c.cfg.Mode == ModeHybrid) && !c.cdfOn && dyn.Index == 0 && c.now >= c.machBusy {
-			if tr, ok := c.cuc.Lookup(dyn.PC); ok && !tr.NoEnter {
+			if tr, ok := c.crit.cuc.Lookup(dyn.PC); ok && !tr.NoEnter {
 				c.enterCDF(c.regSeq)
 				break // critical fetch takes over from this position
 			}
@@ -173,39 +183,31 @@ func (c *Core) regFetch() {
 func (c *Core) predictAndCheck(e *entry, rec *streamRec) (mispredicted bool) {
 	dyn := &rec.dyn
 	op := dyn.U.Op
-	pr := c.pred.Predict(op, dyn.PC, c.retContinuationPC(rec))
+	pr := c.pred.Predict(op, dyn.PC, retContinuationPC(c.prg, dyn))
 	e.pred = pr
 	if pr.Cond {
 		c.st.CondBranches++
 	}
 	c.pred.Update(op, dyn.PC, dyn.Taken, actualTarget(rec), pr)
 
-	dirWrong := pr.Taken != dyn.Taken
-	if dirWrong {
+	if wrongPrediction(pr, dyn) {
 		e.mispredict = true
 		return true
 	}
-	if dyn.Taken {
-		if !pr.TargetHit {
-			if c.fr != nil && c.fr.shadow != nil {
-				if t, ok := c.fr.shadow.Backup(dyn.PC); ok && t == dyn.NextPC {
-					// A shadow branch decoded from an already-fetched line
-					// supplies the target: no re-steer bubble.
-					c.st.ShadowBTBHits++
-					e.pred.Target, e.pred.TargetHit = t, true
-					return false
-				}
+	if dyn.Taken && !pr.TargetHit {
+		if c.fr != nil && c.fr.shadow != nil {
+			if t, ok := c.fr.shadow.Backup(dyn.PC); ok && t == dyn.NextPC {
+				// A shadow branch decoded from an already-fetched line
+				// supplies the target: no re-steer bubble.
+				c.st.ShadowBTBHits++
+				e.pred.Target, e.pred.TargetHit = t, true
+				return false
 			}
-			// Target computed at decode: short re-steer.
-			c.st.BTBMisses++
-			c.fetchStallUntil = c.now + uint64(c.cfg.BTBMissPenalty)
-			c.fetchStallReason = stallBTB
-			return false
 		}
-		if pr.Target != dyn.NextPC {
-			e.mispredict = true
-			return true
-		}
+		// Target computed at decode: short re-steer.
+		c.st.BTBMisses++
+		c.fetchStallUntil = c.now + uint64(c.cfg.BTBMissPenalty)
+		c.fetchStallReason = stallBTB
 	}
 	return false
 }
@@ -296,7 +298,8 @@ func (c *Core) emitWrongPath(critical bool) {
 		e.seq, e.sub, e.wrongPath = brSeq, c.wpCounter, true
 		e.critical, e.fetchedInCDF = critical, c.cdfOn
 		e.dstPhys, e.prevCrit, e.prevReg, e.src1, e.src2 = -1, -1, -1, -1, -1
-		if c.rand01() < c.cfg.WrongPathLoadFrac {
+		// A uniform draw in [0,1) picks loads at WrongPathLoadFrac.
+		if float64(c.wp.next()>>11)/(1<<53) < c.cfg.WrongPathLoadFrac {
 			e.op = isa.OpLoad
 			e.addr = c.synthWrongPathAddr()
 		} else {
@@ -354,7 +357,7 @@ func (c *Core) critFetch() {
 		panic(errInternal("critical fetch not block-aligned at seq %d (B%d[%d])", c.critScanSeq, dyn.BlockID, dyn.Index))
 	}
 	blockPC := c.prg.BlockPC(dyn.BlockID)
-	tr, ok := c.cuc.Lookup(blockPC)
+	tr, ok := c.crit.cuc.Lookup(blockPC)
 	if !ok {
 		// §3.6 exit condition (a): Critical Uop Cache miss.
 		c.beginCDFExit()
@@ -410,7 +413,7 @@ func (c *Core) critFetch() {
 		return
 	}
 	if last.U.Op.IsBranch() {
-		pr := c.pred.Predict(last.U.Op, last.PC, c.retContinuationPC(lastRec))
+		pr := c.pred.Predict(last.U.Op, last.PC, retContinuationPC(c.prg, last))
 		if pr.Cond {
 			c.st.CondBranches++
 		}
@@ -516,61 +519,64 @@ func (c *Core) exitCDFNow() {
 
 // --- wrong-path address synthesis ---
 
-// rand01 returns a deterministic pseudo-random float in [0,1).
-func (c *Core) rand01() float64 {
-	c.rng ^= c.rng << 13
-	c.rng ^= c.rng >> 7
-	c.rng ^= c.rng << 17
-	return float64(c.rng>>11) / float64(1<<53)
+// wpLines is the wrong-path address model: a ring of recent demand-load
+// lines and a xorshift generator drawing from it. The core and the warmer
+// each own one, with their own seeds.
+type wpLines struct {
+	rng   uint64
+	lines [64]uint64
+	n     int // lines noted so far
 }
 
-// randomRecentLine hands the runahead engine a recently-touched demand
-// line to base wrong-chain addresses on.
-func (c *Core) randomRecentLine() (uint64, bool) {
-	n := c.recentN
-	if n > len(c.recentLines) {
-		n = len(c.recentLines)
-	}
+// next advances the generator and returns its new state.
+func (w *wpLines) next() uint64 {
+	w.rng ^= w.rng << 13
+	w.rng ^= w.rng >> 7
+	w.rng ^= w.rng << 17
+	return w.rng
+}
+
+// note remembers a demand load's line.
+func (w *wpLines) note(line uint64) {
+	w.lines[w.n%len(w.lines)] = line
+	w.n++
+}
+
+// pick returns a random recently noted line; before the first note it
+// returns false without advancing the generator. The runahead engine bases
+// its wrong chains' addresses on it.
+func (w *wpLines) pick() (uint64, bool) {
+	n := min(w.n, len(w.lines))
 	if n == 0 {
 		return 0, false
 	}
-	c.rng ^= c.rng << 13
-	c.rng ^= c.rng >> 7
-	c.rng ^= c.rng << 17
-	return c.recentLines[c.rng%uint64(n)], true
+	return w.lines[w.next()%uint64(n)], true
 }
 
-// noteLoadLine remembers a demand load's line for wrong-path synthesis.
-func (c *Core) noteLoadLine(line uint64) {
-	c.recentLines[c.recentN%len(c.recentLines)] = line
-	c.recentN++
-}
-
-// synthWrongPathAddr produces a plausible wrong-path load address: usually
-// a recently-touched line (wrong-path code mostly re-reads warm data and
-// hits the caches), occasionally — within the per-episode miss budget — a
-// novel nearby line that misses and generates the wrong-path DRAM traffic
-// Fig. 15 accounts for.
-func (c *Core) synthWrongPathAddr() uint64 {
-	n := c.recentN
-	if n > len(c.recentLines) {
-		n = len(c.recentLines)
+// draw picks a plausible wrong-path load line: usually a recent line
+// (wrong-path code mostly re-reads warm data and hits the caches),
+// occasionally — one draw in four while *budget lasts, each spending one
+// unit — a novel line within 2048 lines of it, which misses and generates
+// the wrong-path DRAM traffic Fig. 15 accounts for.
+func (w *wpLines) draw(budget *int) (uint64, bool) {
+	base, ok := w.pick()
+	if !ok || *budget <= 0 || w.rng&3 != 0 {
+		return base, ok
 	}
-	if n == 0 {
+	*budget--
+	line := int64(base) + int64(w.rng>>32)%4097 - 2048
+	if line < 0 {
+		return base, true
+	}
+	return uint64(line), true
+}
+
+// synthWrongPathAddr produces the address of a modelled wrong-path load
+// (see wpLines.draw), drawing on the current episode's miss budget.
+func (c *Core) synthWrongPathAddr() uint64 {
+	line, ok := c.wp.draw(&c.wpMissBudget)
+	if !ok {
 		return 0x100000
 	}
-	c.rng ^= c.rng << 13
-	c.rng ^= c.rng >> 7
-	c.rng ^= c.rng << 17
-	base := c.recentLines[c.rng%uint64(n)]
-	if c.wpMissBudget <= 0 || c.rng&3 != 0 {
-		return base * c.cfg.Mem.LineBytes // warm line: near-certain hit
-	}
-	c.wpMissBudget--
-	off := int64(c.rng>>32)%4097 - 2048
-	line := int64(base) + off
-	if line < 0 {
-		line = int64(base)
-	}
-	return uint64(line) * c.cfg.Mem.LineBytes
+	return line * c.cfg.Mem.LineBytes
 }

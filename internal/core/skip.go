@@ -126,11 +126,11 @@ func (c *Core) sig() coreSig {
 		critWPEmitted: c.critWPEmitted, critWPCritBr: c.critWPCritBr,
 		wpCounter: c.wpCounter,
 
-		rng: c.rng, recentN: c.recentN,
+		rng: c.wp.rng, recentN: c.wp.n,
 		wpMissBudget: c.wpMissBudget, wpBudgetSeq: c.wpBudgetSeq,
 
-		collecting: c.collecting, machBusy: c.machBusy,
-		lastEpochAt: c.lastEpochAt, lastMaskRst: c.lastMaskRst,
+		collecting: c.crit.collecting, machBusy: c.machBusy,
+		lastEpochAt: c.crit.lastEpochAt, lastMaskRst: c.crit.lastMaskRst,
 
 		preStalled: c.preStalled, preStallSeq: c.preStallSeq,
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cdf/internal/branch"
-	"cdf/internal/cdf"
 	"cdf/internal/emu"
 	"cdf/internal/front"
 	"cdf/internal/mem"
@@ -21,27 +20,24 @@ import (
 // structures are handed to a fresh interval core (NewAt), which continues
 // training them cycle-accurately; the handoff is strictly serial, so a
 // single set of structures threads through the whole sampled run exactly as
-// it would through a full one.
+// it would through a full one. The criticality machinery is one shared
+// criticality value: the warmer and every interval core train it through
+// the same method, at absolute program positions.
 //
 // Warming is timing-free by construction: cache contents, replacement
 // state, prefetcher training, predictor state and criticality counters all
 // advance, but MSHRs, DRAM schedules and the fill-buffer walk latency are
-// untouched (NewAt resets the former; the latter is approximated by
-// uop-count epochs, since the walk's cycle cost only matters inside a
-// measured interval).
+// untouched (NewAt resets the former; warming never holds the machinery
+// busy, since the walk's cycle cost only matters inside a measured
+// interval).
 type Warmer struct {
 	cfg Config
-	cc  cdf.Config // cfg.effectiveCDF(), what fb was built with
 	prg *prog.Program
 
 	hier *mem.Hierarchy
 	pred *branch.Predictor
 
-	loadCCT   *cdf.CountTable
-	branchCCT *cdf.CountTable
-	maskc     *cdf.MaskCache
-	cuc       *cdf.UopCache
-	fb        *cdf.FillBuffer
+	crit *criticality
 
 	// Instruction-supply structures (nil unless the subsystem and the
 	// relevant feature are enabled). Like the predictor, they persist
@@ -57,25 +53,17 @@ type Warmer struct {
 	n uint64 // uops observed
 
 	// pos is the absolute program position (in executed uops) of the
-	// warmer's clock. Unlike n it survives handoffs: Resync pulls it
-	// forward past each measured region, so the epoch cycles below — mask
-	// decay every MaskResetInterval, fill-buffer walks every WalkInterval —
-	// fire at the same program positions a continuous run fires them at.
-	// lastMaskRst and lastEpochAt are on this clock.
+	// warmer's clock, the position crit trains at. Unlike n it survives
+	// handoffs: Resync pulls it forward past each measured region.
 	pos uint64
 
-	lastILine   uint64
-	haveILine   bool
-	lastMaskRst uint64
-	lastEpochAt uint64
-	collecting  bool
+	lastILine uint64
+	haveILine bool
 
 	// Wrong-path surrogate state (see warmWrongPath).
-	rng         uint64
-	recentLines [64]uint64
-	recentN     int
-	wpRate      float64 // wrong-path loads replayed per mispredict episode
-	wpCarry     float64 // fractional-load accumulator across episodes
+	wp      wpLines
+	wpRate  float64 // wrong-path loads replayed per mispredict episode
+	wpCarry float64 // fractional-load accumulator across episodes
 }
 
 // NewWarmer builds the warm structure set for cfg and p. The same
@@ -85,24 +73,15 @@ func NewWarmer(cfg Config, p *prog.Program) (*Warmer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cc := cfg.effectiveCDF()
 	w := &Warmer{
 		cfg:    cfg,
-		cc:     cc,
 		prg:    p,
 		hier:   mem.NewHierarchy(cfg.Mem, &stats.Stats{}),
 		pred:   branch.NewPredictor(),
-		rng:    cfg.Seed*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
+		crit:   newCriticality(cfg, p),
+		wp:     wpLines{rng: cfg.Seed*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D},
 		wpRate: float64(wpMissBudgetPerEpisode),
 	}
-	w.loadCCT = cdf.NewCountTable(cc.CCTEntries, cc.CCTWays,
-		cc.LoadStrictMax, cc.LoadStrictThresh, cc.LoadPermMax, cc.LoadPermThresh, 1)
-	w.branchCCT = cdf.NewCountTable(cc.CCTEntries, cc.CCTWays,
-		cc.BranchStrictMax, cc.BranchStrictThresh, cc.BranchPermMax, cc.BranchPermThresh,
-		cc.BranchMispredictWeight)
-	w.maskc = cdf.NewMaskCache(cc.MaskEntries, cc.MaskWays)
-	w.cuc = cdf.NewUopCache(cc.CUCLines, cc.CUCWays, cc.CUCLineUops)
-	w.fb = cdf.NewFillBuffer(cc, w.maskc, w.cuc)
 	if cfg.Front.Enabled && cfg.Front.ShadowBTB {
 		w.frontShadow = front.NewShadowBTB(cfg.Front)
 		w.frontDec = front.NewDecoder(p, cfg.Mem.LineBytes)
@@ -160,30 +139,31 @@ func (w *Warmer) Observe(d *emu.DynUop) {
 	switch {
 	case op.IsLoad():
 		llcMiss = w.hier.WarmLoad(d.Addr)
-		w.recentLines[w.recentN%len(w.recentLines)] = d.Addr / w.cfg.Mem.LineBytes
-		w.recentN++
+		w.wp.note(d.Addr / w.cfg.Mem.LineBytes)
 	case op.IsStore():
 		w.hier.WarmStore(d.Addr)
 	}
 
-	// Branch predictor: predict then train, computing the mispredict the
-	// same way the frontend does (predictAndCheck) — a BTB miss with the
-	// right direction is a re-steer, not a mispredict.
+	// Branch predictor: predict then train, judging the prediction the way
+	// the frontend does (predictAndCheck).
 	mispredict := false
 	if op.IsBranch() {
-		pr := w.pred.Predict(op, d.PC, w.retContinuationPC(d))
+		pr := w.pred.Predict(op, d.PC, retContinuationPC(w.prg, d))
 		w.pred.Update(op, d.PC, d.Taken, d.NextPC, pr)
-		if pr.Taken != d.Taken {
-			mispredict = true
-		} else if d.Taken && pr.TargetHit && pr.Target != d.NextPC {
-			mispredict = true
-		}
+		mispredict = wrongPrediction(pr, d)
 	}
 	if mispredict {
 		w.warmWrongPath()
 	}
 
-	w.train(d, llcMiss, mispredict)
+	// PRE's stall-driven load marking cannot be observed functionally; LLC
+	// misses — the dominant cause of full-window stalls — stand in for it.
+	// The walk's busy window only shapes timing, which warming does not
+	// model.
+	if w.cfg.Mode == ModePRE && op.IsLoad() && llcMiss {
+		w.crit.loadCCT.Update(d.PC, true)
+	}
+	w.crit.train(d, w.pos, llcMiss, mispredict, false)
 }
 
 // warmWrongPath replays one misprediction's worth of modelled wrong-path
@@ -204,14 +184,7 @@ func (w *Warmer) Observe(d *emu.DynUop) {
 // deterministic generator: the goal is the same fill density, not the
 // core's exact address sequence (which is timing-dependent anyway).
 func (w *Warmer) warmWrongPath() {
-	if w.cfg.WrongPathLoadFrac == 0 {
-		return
-	}
-	n := w.recentN
-	if n > len(w.recentLines) {
-		n = len(w.recentLines)
-	}
-	if n == 0 {
+	if w.cfg.WrongPathLoadFrac == 0 || w.wp.n == 0 {
 		return
 	}
 	w.wpCarry += w.wpRate
@@ -219,20 +192,8 @@ func (w *Warmer) warmWrongPath() {
 	w.wpCarry -= float64(loads)
 	miss := wpMissBudgetPerEpisode
 	for i := 0; i < loads; i++ {
-		w.rng ^= w.rng << 13
-		w.rng ^= w.rng >> 7
-		w.rng ^= w.rng << 17
-		base := w.recentLines[w.rng%uint64(n)]
-		line := int64(base)
-		if miss > 0 && w.rng&3 == 0 {
-			// Missy draw: same offset distribution as synthWrongPathAddr.
-			miss--
-			off := int64(w.rng>>32)%4097 - 2048
-			if line+off >= 0 {
-				line += off
-			}
-		}
-		w.hier.WarmWrongLoad(uint64(line) * w.cfg.Mem.LineBytes)
+		line, _ := w.wp.draw(&miss)
+		w.hier.WarmWrongLoad(line * w.cfg.Mem.LineBytes)
 	}
 }
 
@@ -256,102 +217,18 @@ func (w *Warmer) SetWrongPathRate(rate float64) {
 	w.wpRate = rate
 }
 
-// retContinuationPC mirrors Core.retContinuationPC for the warm predictor.
-func (w *Warmer) retContinuationPC(d *emu.DynUop) uint64 {
-	blk := w.prg.Blocks[d.BlockID]
-	if blk.Fallthrough >= 0 {
-		return w.prg.BlockPC(blk.Fallthrough)
-	}
-	return d.PC + 8
-}
-
-// train is the clock-free mirror of Core.trainCriticality: CCT updates,
-// mask-cache decay, and fill-buffer collection epochs measured in observed
-// uops instead of retired uops, with the walk's machinery-busy window
-// dropped (it only shapes timing, which warming does not model). PRE's
-// stall-driven load marking cannot be observed functionally; LLC misses —
-// the dominant cause of full-window stalls — stand in for it.
-func (w *Warmer) train(d *emu.DynUop, llcMiss, mispredict bool) {
-	if w.cfg.Mode == ModeBaseline && !w.cfg.TrainCriticality {
-		return
-	}
-	op := d.U.Op
-	if w.cfg.Mode != ModePRE {
-		if op.IsLoad() {
-			w.loadCCT.Update(d.PC, llcMiss)
-		}
-		if op.IsCondBranch() && w.cc.MarkCriticalBranches {
-			w.branchCCT.Update(d.PC, mispredict)
-		}
-	} else if op.IsLoad() && llcMiss {
-		w.loadCCT.Update(d.PC, true)
-	}
-
-	if w.pos-w.lastMaskRst >= w.cc.MaskResetInterval {
-		w.maskc.Reset()
-		w.lastMaskRst = w.pos
-	}
-
-	if !w.collecting {
-		if w.pos-w.lastEpochAt < w.cc.WalkInterval {
-			return
-		}
-		w.collecting = true
-	}
-
-	blk := w.prg.Blocks[d.BlockID]
-	rec := cdf.Record{
-		PC:           d.PC,
-		BlockPC:      w.prg.BlockPC(d.BlockID),
-		Index:        d.Index,
-		BlockLen:     len(blk.Uops),
-		EndsInBranch: blk.EndsInBranch(),
-		Op:           op,
-		Dst:          d.U.Dst,
-		Src1:         d.U.Src1,
-		Src2:         d.U.Src2,
-	}
-	if op.IsMem() {
-		rec.MemLine = d.Addr / w.cfg.Mem.LineBytes
-	}
-	switch {
-	case op.IsLoad():
-		rec.Seed = w.loadCCT.Predict(d.PC)
-	case op.IsCondBranch() && w.cc.MarkCriticalBranches && w.cfg.Mode != ModePRE:
-		rec.Seed = w.branchCCT.Predict(d.PC)
-	}
-	w.fb.Insert(rec)
-
-	if !w.fb.Full() {
-		return
-	}
-	res := w.fb.Walk()
-	w.collecting = false
-	w.lastEpochAt = w.pos
-	switch {
-	case res.Density < w.cc.DensityLo:
-		w.loadCCT.UsePermissive(true)
-		w.branchCCT.UsePermissive(true)
-	case res.Density > w.cc.DensityHi:
-		w.loadCCT.UsePermissive(false)
-		w.branchCCT.UsePermissive(false)
-	}
-}
-
 // Resync realigns the warmer's bookkeeping after interval core c has run
 // on the shared structures. The warmer's clock jumps to the position
 // warming resumes at (the core's fetch frontier — the master re-executes
-// that span silently), and the epoch anchors are taken from the core,
-// whose clock ran on the same absolute positions: a mask reset that fired
-// inside the measured region stays fired, and one that is due shortly
-// after it fires on time instead of being rescheduled a full interval out.
-// Any partial fill-buffer collection the core left behind is dropped.
+// that span silently). The epoch anchors need no handoff: the core trained
+// the shared criticality machinery on the same absolute positions, so a
+// mask reset that fired inside the measured region stays fired, and one
+// that is due shortly after it fires on time. Any partial fill-buffer
+// collection the core left behind is dropped.
 func (w *Warmer) Resync(c *Core) {
-	w.fb.Reset()
-	w.collecting = false
+	w.crit.fb.Reset()
+	w.crit.collecting = false
 	w.pos = c.posBase + c.FetchFrontier()
-	w.lastMaskRst = c.posBase + c.lastMaskRst
-	w.lastEpochAt = c.posBase + c.lastEpochAt
 	w.haveILine = false
 }
 
