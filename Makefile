@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags experiments-check golden-check shellcheck bench bench-smoke bench-test ci clean
+.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags experiments-check golden-check loc shellcheck bench bench-smoke bench-test ci clean
 
 all: build
 
@@ -62,8 +62,8 @@ sample-smoke:
 
 # Instruction-supply smoke (DESIGN.md §13): one frontend-bound kernel
 # through cdfsim with the frontend off, timing-only, and FDIP+shadow-BTB;
-# the timing path must agree with the legacy blocking path, FDIP must
-# recover IPC, and the frontend statistics must be reported.
+# the timing-only run's counter table must equal the off run's row for
+# row, FDIP must recover IPC, and the frontend statistics must be reported.
 front-smoke:
 	scripts/front_smoke.sh
 
@@ -91,6 +91,11 @@ golden-check:
 	bash bench/run.sh --workload sweep --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload sampled --seed 1 --seconds 1 --trace 0
 	bash bench/run.sh --workload frontend --seed 1 --seconds 1 --trace 0
+
+# The simplicity measure: line counts of the tracked non-test and test Go
+# files outside bench/. Informational, not part of `make ci`.
+loc:
+	scripts/loc.sh
 
 # Lint the smoke scripts. Skips gracefully where shellcheck is not
 # installed (CI's ubuntu runners have it).

@@ -119,10 +119,11 @@ type Options struct {
 	// *oracle.DivergenceError carrying both machines' states.
 	Oracle bool
 
-	// Frontend enables the instruction-supply subsystem (internal/front;
-	// DESIGN.md §13): a timed L1I on the fetch path, so instruction misses
-	// stall fetch instead of being free. Off by default — the frontend then
-	// behaves bit-identically to the pre-subsystem simulator.
+	// Frontend enables the instruction-supply engine (internal/front;
+	// DESIGN.md §13) and unlocks PerfectL1I, FDIP and ShadowBTB. Every
+	// machine times its L1I and reports l1i_mpki and the fetch-stall split;
+	// Frontend alone changes no cycle or counter, only the energy bill,
+	// which then includes the FTQ and walker area.
 	Frontend bool
 
 	// PerfectL1I keeps the timed frontend's accounting but makes every

@@ -395,14 +395,15 @@ func AblationNoCriticalBranches(o SuiteOptions) ([]AblationRow, error) {
 // --- Instruction supply (DESIGN.md §13) ---
 
 // FrontRow is one frontend-bound kernel's instruction-supply results: IPC
-// under the four frontend variants, the timing variant's L1I pressure, how
+// under the four frontend variants (the timing variant is the plain timed
+// L1I every machine has), the timing variant's L1I pressure, how
 // much of the perfect-L1I gap FDIP recovers, and how much of the
 // BTB-miss-driven fetch-stall time shadow-branch decoding removes.
 type FrontRow struct {
 	Benchmark string
 
-	// IPC per variant: timed L1I only; + FDIP; + FDIP and shadow-branch
-	// decoding; and the perfect-L1I upper bound.
+	// IPC per variant: the plain timed L1I; + FDIP; + FDIP and
+	// shadow-branch decoding; and the perfect-L1I upper bound.
 	TimingIPC  float64
 	FDIPIPC    float64
 	ShadowIPC  float64
@@ -428,9 +429,9 @@ type FrontRow struct {
 }
 
 // frontVariants are the four machines FrontSupply compares, all on the
-// baseline core: timed L1I only; + FDIP; + FDIP and shadow-branch
-// decoding; and the perfect-L1I upper bound. Order matters: it is the
-// column order of the report table.
+// baseline core: the engine with every feature off (the same timing as no
+// engine); + FDIP; + FDIP and shadow-branch decoding; and the perfect-L1I
+// upper bound. Order matters: it is the column order of the report table.
 var frontVariants = []variant{
 	{ModeBaseline, func(o *Options) { o.Frontend = true }},
 	{ModeBaseline, func(o *Options) { o.Frontend, o.FDIP = true, true }},

@@ -81,8 +81,8 @@ type Config struct {
 	Mem mem.Config
 
 	// Front configures the instruction-supply subsystem (FDIP, shadow-branch
-	// decoding, perfect-L1I; DESIGN.md §13). The zero value disables it and
-	// leaves the fetch stage bit-identical to the pre-subsystem core.
+	// decoding, perfect-L1I; DESIGN.md §13). The zero value disables it;
+	// the timed L1I fetch path is the same either way.
 	Front front.Config
 
 	// CDF structures and policies (used by ModeCDF and ModePRE, and by

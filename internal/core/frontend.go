@@ -81,18 +81,8 @@ func (c *Core) regFetch() {
 			if lineAccesses > 2 {
 				break
 			}
-			if c.fr != nil {
-				if c.fetchLineFront(dyn.PC, line) {
-					break
-				}
-			} else {
-				done := c.hier.FetchInst(dyn.PC, c.now)
-				c.lastFetchLine, c.haveFetchLine = line, true
-				if done > c.now+uint64(c.cfg.Mem.L1ILatency) {
-					c.fetchStallUntil = done
-					c.fetchStallReason = stallIMiss
-					break
-				}
+			if c.fetchLine(dyn.PC, line) {
+				break
 			}
 		}
 

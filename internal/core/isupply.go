@@ -7,11 +7,10 @@ import (
 
 // This file is the core side of the instruction-supply subsystem
 // (internal/front; DESIGN.md §13): the per-core frontend engine that runs
-// the FDIP walker and FTQ issue once per cycle, applies shadow-branch
-// decodes with a one-cycle delay, and attributes fetch stalls to their
-// cause. Everything here is inert when cfg.Front.Enabled is false — the
-// engine is never built, and the fetch stage behaves bit-identically to the
-// pre-subsystem core.
+// the FDIP walker and FTQ issue once per cycle and applies shadow-branch
+// decodes with a one-cycle delay, plus the fetch stage's timed L1I access
+// and the attribution of fetch stalls to their cause, which every machine
+// uses. The engine is built only when cfg.Front.Enabled is set.
 
 // Fetch-stall causes (Core.fetchStallReason). The split counters let
 // reports separate frontend-bound cycles (I-miss, BTB) from the flush
@@ -132,29 +131,29 @@ func (c *Core) frontCycle() {
 	}
 }
 
-// fetchLineFront is regFetch's I-cache access for a newly touched line when
-// the subsystem is enabled: it queues the line for shadow decoding, credits
-// FDIP prefetches, and reports whether fetch must stall on an I-miss.
-// PerfectL1I keeps the line-tracking structural accounting but never
-// stalls or touches the hierarchy.
-func (c *Core) fetchLineFront(pc, line uint64) (stall bool) {
-	c.frontNoteLine(line)
+// fetchLine is regFetch's I-cache access for a newly touched line, on
+// every machine. With the instruction-supply engine it also queues the
+// line for shadow decoding, and PerfectL1I keeps the line-tracking
+// structural accounting but never stalls or touches the hierarchy. It
+// credits FDIP prefetches to the throttle and reports whether fetch must
+// stall on an I-miss. Only FDIP's PrefetchInst marks L1I lines, so a
+// credit implies the engine and its throttle exist.
+func (c *Core) fetchLine(pc, line uint64) (stall bool) {
 	c.lastFetchLine, c.haveFetchLine = line, true
-	if c.cfg.Front.PerfectL1I {
-		return false
+	if c.fr != nil {
+		c.frontNoteLine(line)
+		if c.cfg.Front.PerfectL1I {
+			return false
+		}
 	}
-	done, useful, late := c.hier.FetchInstFront(pc, c.now)
+	done, useful, late := c.hier.FetchInst(pc, c.now)
 	if useful {
 		c.st.L1IPrefetchUseful++
-		if c.fr.thr != nil {
-			c.fr.thr.OnUseful()
-		}
+		c.fr.thr.OnUseful()
 	}
 	if late {
 		c.st.L1IPrefetchLate++
-		if c.fr.thr != nil {
-			c.fr.thr.OnLate()
-		}
+		c.fr.thr.OnLate()
 	}
 	if done > c.now+uint64(c.cfg.Mem.L1ILatency) {
 		c.fetchStallUntil = done

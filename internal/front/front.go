@@ -7,9 +7,10 @@
 // The package holds the frontend's own state machines (fetch-target queue,
 // lookahead walker, accuracy throttle, shadow BTB, static line decoder);
 // internal/core owns the clock and drives them once per cycle, and
-// internal/mem owns the instruction-side cache port they feed. With
-// Config.Enabled false (the default) none of this exists and the core's
-// fetch path is bit-identical to the pre-subsystem behavior.
+// internal/mem owns the instruction-side cache port they feed. The timed
+// L1I itself is not part of this package: every machine fetches through
+// it. With Config.Enabled false (the default) none of this exists, and
+// with Enabled true and every feature off the machine times the same.
 package front
 
 import "fmt"
@@ -19,8 +20,9 @@ import "fmt"
 // can ride inside core.Config's struct-equality contracts (warmer
 // compatibility, CaseKey hashing).
 type Config struct {
-	// Enabled turns the subsystem on. When false every other field is
-	// ignored and the core's fetch stage behaves exactly as before.
+	// Enabled turns the subsystem on and unlocks the features below.
+	// When false every other field is ignored. Alone it changes no
+	// timing; energy then bills the FTQ and walker area.
 	Enabled bool
 
 	// PerfectL1I makes every instruction fetch hit in zero extra cycles

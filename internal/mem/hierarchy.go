@@ -225,12 +225,17 @@ func (h *Hierarchy) Store(addr, now uint64) AccessResult {
 	return AccessResult{Done: done, LLCMiss: llcMiss, L1DMiss: true}
 }
 
-// FetchInst fetches the instruction line containing pc at cycle now. A
-// next-line instruction prefetcher runs ahead of sequential code (standard
-// frontend equipment).
-func (h *Hierarchy) FetchInst(pc, now uint64) uint64 {
+// FetchInst fetches the instruction line containing pc at cycle now. It
+// also reports whether the demand line hit on a line installed by an
+// instruction prefetch (useful) or merged onto a still-pending one (late).
+// Each report consumes its mark: the in-flight fill's for late, the
+// line's for useful, so a late prefetch is credited useful too on its first
+// hit after landing. Only PrefetchInst sets the marks, so on a machine
+// without FDIP both are always false. A next-line instruction prefetcher
+// runs ahead of sequential code (standard frontend equipment).
+func (h *Hierarchy) FetchInst(pc, now uint64) (done uint64, useful, late bool) {
 	line := h.L1I.LineAddr(pc)
-	done := h.fetchInstLine(line, now)
+	done, useful, late = h.fetchInstLine(line, now)
 	// Next-line prefetch: bring the following lines in behind the demand.
 	for d := uint64(1); d <= 2; d++ {
 		next := line + d
@@ -242,44 +247,7 @@ func (h *Hierarchy) FetchInst(pc, now uint64) uint64 {
 		}
 		h.fetchInstLine(next, now)
 	}
-	return done
-}
-
-// FetchInstFront is FetchInst plus the FDIP credit handshake: it also
-// reports whether the demand line hit on a line installed by an
-// instruction prefetch (useful) or merged onto a still-pending one (late).
-// Both marks are consumed, so each prefetch is credited at most once. The
-// next-line prefetcher behaves exactly as in FetchInst.
-func (h *Hierarchy) FetchInstFront(pc, now uint64) (done uint64, useful, late bool) {
-	line := h.L1I.LineAddr(pc)
-	done, useful, late = h.fetchInstLineFront(line, now)
-	for d := uint64(1); d <= 2; d++ {
-		next := line + d
-		if h.L1I.Contains(next) {
-			continue
-		}
-		if _, ok := h.L1I.Pending(next, now); ok {
-			continue
-		}
-		h.fetchInstLine(next, now)
-	}
 	return done, useful, late
-}
-
-func (h *Hierarchy) fetchInstLineFront(line, now uint64) (done uint64, useful, late bool) {
-	if ready, pref, ok := h.L1I.PendingPref(line, now); ok {
-		return maxU(ready, now+uint64(h.cfg.L1ILatency)), false, pref
-	}
-	if hit, wasPref := h.L1I.Lookup(line); hit {
-		h.St.L1IHits++
-		return now + uint64(h.cfg.L1ILatency), wasPref, false
-	}
-	h.St.L1IMisses++
-	llcAt := now + uint64(h.cfg.L1ILatency)
-	d, _ := h.accessLLC(line, llcAt, true, false)
-	h.L1I.Insert(line, false, false)
-	h.L1I.AddPending(line, d, now)
-	return d, false, false
 }
 
 // PrefetchInst issues an FDIP prefetch for the given instruction line.
@@ -312,20 +280,23 @@ func (h *Hierarchy) L1INextPendingReady() (uint64, bool) {
 	return h.L1I.NextPendingReady()
 }
 
-func (h *Hierarchy) fetchInstLine(line, now uint64) uint64 {
-	if ready, ok := h.L1I.Pending(line, now); ok {
-		return maxU(ready, now+uint64(h.cfg.L1ILatency))
+// fetchInstLine is one timed L1I line access: a merge onto an in-flight
+// fill, a hit, or a miss that fills from the LLC. useful and late carry
+// the line's consumed prefetch marks (see FetchInst).
+func (h *Hierarchy) fetchInstLine(line, now uint64) (done uint64, useful, late bool) {
+	if ready, pref, ok := h.L1I.PendingPref(line, now); ok {
+		return maxU(ready, now+uint64(h.cfg.L1ILatency)), false, pref
 	}
-	if hit, _ := h.L1I.Lookup(line); hit {
+	if hit, wasPref := h.L1I.Lookup(line); hit {
 		h.St.L1IHits++
-		return now + uint64(h.cfg.L1ILatency)
+		return now + uint64(h.cfg.L1ILatency), wasPref, false
 	}
 	h.St.L1IMisses++
 	llcAt := now + uint64(h.cfg.L1ILatency)
-	done, _ := h.accessLLC(line, llcAt, true, false)
+	done, _ = h.accessLLC(line, llcAt, true, false)
 	h.L1I.Insert(line, false, false)
 	h.L1I.AddPending(line, done, now)
-	return done
+	return done, false, false
 }
 
 // accessLLC looks up (or fills) line in the LLC at cycle at, returning the

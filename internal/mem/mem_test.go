@@ -205,14 +205,73 @@ func TestHierarchyOutstandingMLP(t *testing.T) {
 
 func TestHierarchyInstFetch(t *testing.T) {
 	h := newTestHierarchy()
-	cold := h.FetchInst(0x400000, 0)
+	cold, _, _ := h.FetchInst(0x400000, 0)
 	if cold <= uint64(h.Config().L1ILatency) {
 		t.Fatal("cold I-fetch should be slow")
 	}
-	warm := h.FetchInst(0x400000, cold+1)
+	warm, _, _ := h.FetchInst(0x400000, cold+1)
 	if warm != cold+1+uint64(h.Config().L1ILatency) {
 		t.Fatalf("warm I-fetch latency = %d", warm-cold-1)
 	}
+}
+
+// TestFetchInstPrefetchCredit pins the FDIP credit FetchInst reports: a
+// demand merge onto an in-flight instruction prefetch is late, a demand hit
+// on a landed one is useful, each mark is consumed by the access that
+// reports it, and demand or next-line fills carry no mark at all.
+func TestFetchInstPrefetchCredit(t *testing.T) {
+	h := newTestHierarchy()
+	lb := h.Config().LineBytes
+	type credit struct{ useful, late bool }
+	fetch := func(pc, now uint64) (uint64, credit) {
+		done, useful, late := h.FetchInst(pc, now)
+		return done, credit{useful, late}
+	}
+	check := func(what string, got, want credit) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: credit %+v, want %+v", what, got, want)
+		}
+	}
+	prefetch := func(pc, now uint64) {
+		t.Helper()
+		if issued, full := h.PrefetchInst(pc/lb, now); !issued || full {
+			t.Fatalf("PrefetchInst(%#x) issued=%v full=%v", pc, issued, full)
+		}
+	}
+
+	// Late: the demand merges onto the prefetch while it is in flight.
+	const late = 0x400000
+	prefetch(late, 0)
+	_, c := fetch(late, 1)
+	check("merge onto in-flight prefetch", c, credit{late: true})
+	_, c = fetch(late, 2)
+	check("second merge onto the same prefetch", c, credit{})
+
+	// Useful: the demand hits the prefetched line after it landed.
+	const useful = 0x500000
+	prefetch(useful, 10)
+	ready, ok := h.L1I.Pending(useful/lb, 10)
+	if !ok {
+		t.Fatal("prefetch left no in-flight fill")
+	}
+	_, c = fetch(useful, ready+1)
+	check("hit on landed prefetch", c, credit{useful: true})
+	_, c = fetch(useful, ready+2)
+	check("second hit on the same line", c, credit{})
+
+	// Neither: demand and next-line fills are not prefetches.
+	const demand = 0x600000
+	done, c := fetch(demand, 20)
+	check("demand miss", c, credit{})
+	_, c = fetch(demand, 21)
+	check("merge onto in-flight demand fill", c, credit{})
+	next, ok := h.L1I.Pending(demand/lb+1, 21)
+	if !ok || next < done {
+		t.Fatalf("next-line fill ready=%d ok=%v, want in flight", next, ok)
+	}
+	_, c = fetch(demand+lb, next+1)
+	check("hit on next-line-filled line", c, credit{})
 }
 
 func TestPrefetcherFillsStream(t *testing.T) {

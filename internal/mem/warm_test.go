@@ -51,7 +51,7 @@ func TestWarmStoreDirtiesLine(t *testing.T) {
 func TestWarmInstFillsL1I(t *testing.T) {
 	h := newTestHierarchy()
 	h.WarmInst(0x100040)
-	done := h.FetchInst(0x100044, 50)
+	done, _, _ := h.FetchInst(0x100044, 50)
 	if done != 50+uint64(h.Config().L1ILatency) {
 		t.Fatalf("instruction fetch after warming completes at %d, want L1I hit at %d",
 			done, 50+uint64(h.Config().L1ILatency))

@@ -30,7 +30,7 @@ func Run(fs *flag.FlagSet, o *cdf.Options) {
 // Frontend registers the instruction-supply switches (DESIGN.md §13) on
 // fs, writing into o.
 func Frontend(fs *flag.FlagSet, o *cdf.Options) {
-	fs.BoolVar(&o.Frontend, "frontend", false, "enable the instruction-supply subsystem: timed L1I on the fetch path")
+	fs.BoolVar(&o.Frontend, "frontend", false, "enable the instruction-supply engine: bills FTQ and walker area and unlocks -fdip, -shadow-btb, -perfect-l1i")
 	fs.BoolVar(&o.PerfectL1I, "perfect-l1i", false, "frontend upper bound: every instruction fetch hits (requires -frontend)")
 	fs.BoolVar(&o.FDIP, "fdip", false, "decoupled fetch-directed L1I prefetcher (requires -frontend)")
 	fs.BoolVar(&o.ShadowBTB, "shadow-btb", false, "shadow-branch decoding into a shadow BTB (requires -frontend)")

@@ -41,7 +41,7 @@ type Stats struct {
 	FetchStallIMissCycles    uint64 `stat:"fetch_stall_imiss,idle"`
 	FetchStallBTBCycles      uint64 `stat:"fetch_stall_btb,idle"`
 	FetchStallRedirectCycles uint64 `stat:"fetch_stall_redirect,idle"`
-	FTQOccupancySum          uint64 `stat:"ftq_occupancy_sum,idle"` // FTQ entries summed over frontend-enabled cycles
+	FTQOccupancySum          uint64 `stat:"ftq_occupancy_sum,idle"` // FTQ entries summed over cycles with FDIP on
 	L1IPrefetches            uint64 `stat:"l1i_prefetches"`
 	L1IPrefetchUseful        uint64 `stat:"l1i_prefetch_useful"`
 	L1IPrefetchLate          uint64 `stat:"l1i_prefetch_late"`
@@ -246,7 +246,7 @@ func (s *Stats) L1IMPKI() float64 {
 }
 
 // FTQOccupancy returns the average fetch-target-queue occupancy over the
-// run (zero when the frontend subsystem is off).
+// run (zero without FDIP).
 func (s *Stats) FTQOccupancy() float64 {
 	if s.Cycles == 0 {
 		return 0

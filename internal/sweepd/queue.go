@@ -32,11 +32,11 @@ type JobSpec struct {
 	MaxUops uint64 `json:"max_uops,omitempty"`
 	// WarmupUops per run, excluded from statistics.
 	WarmupUops uint64 `json:"warmup_uops,omitempty"`
-	// Frontend enables the instruction-supply subsystem (timed L1I) for
-	// every case; FDIP and ShadowBTB layer the prefetcher and shadow
-	// decoder on top, PerfectL1I is the always-hits upper bound. The
-	// frontend CSV columns (l1i_mpki, ftq occupancy, fetch-stall split)
-	// are zero unless Frontend is set.
+	// Frontend enables the instruction-supply engine for every case;
+	// FDIP and ShadowBTB layer the prefetcher and shadow decoder on top,
+	// PerfectL1I is the always-hits upper bound. Every case times its L1I,
+	// so l1i_mpki and the fetch-stall split are reported either way; the
+	// ftq occupancy column is zero unless FDIP is set.
 	Frontend   bool `json:"frontend,omitempty"`
 	PerfectL1I bool `json:"perfect_l1i,omitempty"`
 	FDIP       bool `json:"fdip,omitempty"`

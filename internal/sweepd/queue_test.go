@@ -1,9 +1,13 @@
 package sweepd
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
+	"cdf"
 	"cdf/internal/stats"
+	"cdf/internal/sweepstore"
 )
 
 // TestCSVMetricNamesAreCounterRows: the sweep table's metric columns are
@@ -18,6 +22,68 @@ func TestCSVMetricNamesAreCounterRows(t *testing.T) {
 	for _, name := range csvHeader[10:] {
 		if !rows[name] {
 			t.Errorf("csv column %q is not a statistics table row", name)
+		}
+	}
+}
+
+// TestRecoverJobSpecFixture pins the journal's JobSpec encoding: a job
+// record written with every field under its snake_case name must recover
+// to exactly these cases. A renamed json tag would otherwise pass the
+// resume tests (they round-trip through the same struct) while a journal
+// from an earlier server silently recovers a different machine.
+func TestRecoverJobSpecFixture(t *testing.T) {
+	const spec = `{"benchmarks":["mcf","astar"],"modes":["cdf","hybrid"],"seeds":[3,9],` +
+		`"max_uops":50000,"warmup_uops":5000,"frontend":true,"perfect_l1i":true,"fdip":true,` +
+		`"shadow_btb":true,"timeout_sec":1.5,"deadline_sec":120}`
+	dir := t.TempDir()
+	store, err := sweepstore.Open(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AppendRecord(sweepstore.Record{Type: sweepstore.RecordJob, JobID: "j4", Spec: []byte(spec)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store = newTestStore(t, dir)
+	defer store.Close()
+
+	jobs, nextID, err := recoverJobs(store, NewBreaker(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 1 || jobs[0].ID != "j4" || nextID != 5 {
+		t.Fatalf("recovered %d jobs (first %v), next id %d; want j4 and 5", len(jobs), jobs, nextID)
+	}
+	j := jobs[0]
+	if j.Spec.DeadlineSec != 120 {
+		t.Errorf("DeadlineSec = %v, want 120", j.Spec.DeadlineSec)
+	}
+	var want []Case
+	for _, b := range []string{"mcf", "astar"} {
+		for _, m := range []cdf.Mode{cdf.ModeCDF, cdf.ModeHybrid} {
+			for _, seed := range []uint64{3, 9} {
+				want = append(want, Case{Bench: b, Opt: cdf.Options{
+					Mode:       m,
+					MaxUops:    50000,
+					WarmupUops: 5000,
+					Seed:       seed,
+					Timeout:    1500 * time.Millisecond,
+					Frontend:   true,
+					PerfectL1I: true,
+					FDIP:       true,
+					ShadowBTB:  true,
+				}})
+			}
+		}
+	}
+	if len(j.Cases) != len(want) {
+		t.Fatalf("recovered %d cases, want %d", len(j.Cases), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(j.Cases[i], want[i]) {
+			t.Fatalf("case %d:\n got %+v\nwant %+v", i, j.Cases[i], want[i])
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // The frontend-bound family (DESIGN.md §13): kernels whose bottleneck is
 // instruction *supply* rather than data misses — the workload class the
-// instruction-supply subsystem (timed L1I, FDIP, shadow-branch decoding)
-// exists to serve. They sit outside the paper's data-side SPEC suite
+// instruction-supply subsystem (FDIP, shadow-branch decoding) exists to
+// serve. They sit outside the paper's data-side SPEC suite
 // (Frontend: true keeps them out of the Fig. 13–17 default sweeps) and are
 // driven by the FrontSupply experiment instead. Their control flow is kept
 // fully predictable on purpose — unrolled call sweeps, no data-dependent

@@ -4,13 +4,15 @@
 # Runs one frontend-bound kernel through the real cdfsim binary in three
 # configurations and checks the subsystem's load-bearing ordering:
 #
-#   off      (frontend disabled)   — the legacy blocking L1I fetch path
-#   timing   (-frontend)           — the front engine's timed L1I path
+#   off      (frontend disabled)   — the timed blocking L1I every machine has
+#   timing   (-frontend)           — the same machine with the engine on and
+#                                    every feature off
 #   fdip     (-frontend -fdip -shadow-btb) — prefetcher + shadow BTB
 #
-# Pass conditions: the front engine's timing path lands near the legacy
-# blocking path (same machine, new accounting — a large gap means one of
-# them is mismodelling), FDIP recovers a solid fraction of the I-miss
+# Pass conditions: the timing run's counter table (the indented rows of
+# the cdfsim output) equals the off run's row for row — -frontend alone
+# changes only the energy bill, so any difference means the engine leaks
+# into timing or statistics. FDIP recovers a solid fraction of the I-miss
 # cost, and the frontend statistics (L1I MPKI, fetch-stall split) are
 # actually reported. Any break — the frontend silently not engaging, the
 # prefetcher regressing, stats plumbing lost — fails loudly.
@@ -44,21 +46,29 @@ if [ -z "$off_ipc" ] || [ -z "$timing_ipc" ] || [ -z "$fdip_ipc" ]; then
     exit 1
 fi
 
-# Frontend stats must be reported with real values on the timing run.
-mpki=$(awk '$1 == "l1i_mpki" {print $2; exit}' "$work/timing.txt")
-stall=$(awk '$1 == "fetch_stall_imiss" {print $2; exit}' "$work/timing.txt")
+# The engine with every feature off is the same machine as no engine.
+rows() { grep '^  ' "$1" || true; }
+if [ -z "$(rows "$work/off.txt")" ]; then
+    echo "front-smoke: FAIL: no counter table in the off run" >&2
+    exit 1
+fi
+if ! diff <(rows "$work/off.txt") <(rows "$work/timing.txt") >"$work/rows.diff"; then
+    echo "front-smoke: FAIL: -frontend alone changes the counter table:" >&2
+    cat "$work/rows.diff" >&2
+    exit 1
+fi
+
+# Frontend stats must be reported with real values on every machine.
+mpki=$(awk '$1 == "l1i_mpki" {print $2; exit}' "$work/off.txt")
+stall=$(awk '$1 == "fetch_stall_imiss" {print $2; exit}' "$work/off.txt")
 if [ -z "$mpki" ] || [ -z "$stall" ]; then
-    echo "front-smoke: FAIL: frontend statistics missing from -frontend run" >&2
+    echo "front-smoke: FAIL: frontend statistics missing from the off run" >&2
     exit 1
 fi
 
 awk -v off="$off_ipc" -v timing="$timing_ipc" -v fdip="$fdip_ipc" \
     -v mpki="$mpki" -v stall="$stall" 'BEGIN {
     printf "front-smoke: ipc off %s, timing %s, fdip %s (l1i mpki %s)\n", off, timing, fdip, mpki
-    # The front engine and the legacy path model the same blocking L1I:
-    # their bottom lines must agree within 10%.
-    d = timing - off; if (d < 0) d = -d
-    if (d > 0.10 * off) { print "front-smoke: FAIL: -frontend timing diverges from the legacy blocking path"; exit 1 }
     # FDIP must claw back at least 25% over bare timing on this I-bound kernel.
     if (fdip < 1.25 * timing) { print "front-smoke: FAIL: FDIP recovery too small"; exit 1 }
     # And the frontend must actually be missing and stalling.
