@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags experiments-check golden-check loc shellcheck bench bench-smoke bench-test ci clean
+.PHONY: all build fmt vet test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke examples-smoke cli-flags experiments-check golden-check loc shellcheck bench bench-smoke bench-test ci clean
 
 all: build
 
@@ -66,6 +66,14 @@ sample-smoke:
 # row, FDIP must recover IPC, and the frontend statistics must be reported.
 front-smoke:
 	scripts/front_smoke.sh
+
+# The example programs: `go build ./...` only compiles them, so each one is
+# run and must exit 0. ~5 s on 2 vCPUs.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run "./$$d" >/dev/null || exit 1; \
+	done
 
 # The CLI surface: the sorted -h flag names of cdfsim, cdfexperiments,
 # cdftrace and cdfsweepd must match scripts/cli_flags.golden, so adding,
@@ -132,7 +140,7 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: fmt vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke cli-flags experiments-check golden-check shellcheck
+ci: fmt vet build test bench-test race fuzz-smoke oracle-smoke chaos-smoke sweepd-smoke sample-smoke front-smoke examples-smoke cli-flags experiments-check golden-check shellcheck
 
 clean:
 	$(GO) clean ./...

@@ -261,7 +261,14 @@ type Metric struct {
 	Value float64
 }
 
-// Result summarizes one run.
+// Result summarizes one run. Every statistics counter and derived metric
+// (mlp, mem_traffic, stall_rob_crit_frac, ...) lives only in Metrics, one
+// row per stats.Table entry, and is read with Metric. The fields kept
+// beside it are not table rows (the run's identity, how it stopped, the
+// energy model's output, the sampling summary) or are the run's headline
+// figures: Cycles, Uops and IPC, which for a sampled run are the
+// measured-region totals and the SMARTS estimator rather than the table's
+// pooled rows.
 type Result struct {
 	Benchmark string
 	Mode      Mode
@@ -274,10 +281,7 @@ type Result struct {
 	Cycles uint64
 	Uops   uint64
 	IPC    float64
-	MLP    float64
 
-	// MemTraffic is total DRAM line transfers (Fig. 15's metric).
-	MemTraffic uint64
 	// EnergyPJ is the modelled total energy (Fig. 16/17's metric; relative
 	// use only).
 	EnergyPJ float64
@@ -287,19 +291,7 @@ type Result struct {
 	// 3.2%).
 	CDFAreaFrac float64
 
-	BranchMPKI float64
-	LLCMPKI    float64
-
-	// StallROBCritFrac is Fig. 1's metric: the fraction of ROB entries
-	// holding critical-path uops during full-window stalls.
-	StallROBCritFrac      float64
-	FullWindowStallCycles uint64
-
-	CDFModeCycles        uint64
-	DependenceViolations uint64
-	RunaheadIntervals    uint64
-
-	// Metrics carries the complete counter table for reports and tests.
+	// Metrics carries the complete counter table.
 	Metrics []Metric
 
 	// Sample is set only for sampled runs (Options.Sampling): how the run
@@ -312,8 +304,8 @@ type Result struct {
 
 // Metric returns the named row from the Metrics table: a counter under its
 // stat tag name or a derived metric such as "ipc" (0 if absent — the table
-// carries every stats field, so a miss means a typo'd name, which the
-// experiments' own tests would catch).
+// carries every stats field, so a miss means a misspelt name, which
+// TestMetricNamesAreTableRows catches for every literal name in the tree).
 func (r Result) Metric(name string) float64 {
 	for _, m := range r.Metrics {
 		if m.Name == name {
@@ -358,26 +350,12 @@ func Run(benchmark string, opt Options) (Result, error) {
 // budget, watchdog, timeout, cancellation) return errors instead of
 // silently reporting partial statistics.
 func RunContext(ctx context.Context, benchmark string, opt Options) (Result, error) {
-	if err := opt.Validate(); err != nil {
-		return Result{}, fmt.Errorf("%w (benchmark %s)", err, benchmark)
+	if opt.Sampling.Enabled() {
+		return runSampled(ctx, benchmark, opt)
 	}
-	w, err := workload.ByName(benchmark)
+	c, err := NewCore(benchmark, opt)
 	if err != nil {
 		return Result{}, err
-	}
-	if opt.Sampling.Enabled() {
-		return runSampled(ctx, benchmark, w, opt)
-	}
-	prg, mem := w.Build()
-	cfg := opt.CoreConfig()
-	c, err := core.New(cfg, prg, mem)
-	if err != nil {
-		return Result{}, fmt.Errorf("cdf: %s/%s: %w", benchmark, opt.Mode, err)
-	}
-	if opt.Oracle {
-		// Attach before the first cycle: the checker clones the initial
-		// memory, which the core's own emulator mutates as it runs ahead.
-		oracle.Attach(c, prg, mem)
 	}
 	reason, err := harness.Exec(ctx, c, harness.Options{Timeout: opt.Timeout, Seed: opt.Seed})
 	if err != nil {
@@ -385,6 +363,7 @@ func RunContext(ctx context.Context, benchmark string, opt Options) (Result, err
 	}
 	// A normal finish: the harness's goroutine is done with the core.
 	c.Recycle()
+	cfg := opt.CoreConfig()
 	if c.Retired() < cfg.MaxRetired {
 		return Result{}, fmt.Errorf("cdf: %s/%s retired only %d/%d uops in %d cycles",
 			benchmark, opt.Mode, c.Retired(), cfg.MaxRetired, c.Cycles())
@@ -392,6 +371,39 @@ func RunContext(ctx context.Context, benchmark string, opt Options) (Result, err
 	res := buildResult(benchmark, opt.Mode, cfg, c.Stats())
 	res.StopReason = reason
 	return res, nil
+}
+
+// NewCore builds the machine Run simulates for benchmark under opt, with
+// the lockstep oracle attached when opt.Oracle is set, for callers that
+// drive it themselves (a tracer, a training run). A sampled run drives a
+// series of machines rather than one, so opt.Sampling must be off.
+func NewCore(benchmark string, opt Options) (*core.Core, error) {
+	w, err := lookup(benchmark, opt)
+	if err != nil {
+		return nil, err
+	}
+	if opt.Sampling.Enabled() {
+		return nil, fmt.Errorf("cdf: %s/%s: a sampled run has no single machine to build", benchmark, opt.Mode)
+	}
+	prg, mem := w.Build()
+	c, err := core.New(opt.CoreConfig(), prg, mem)
+	if err != nil {
+		return nil, fmt.Errorf("cdf: %s/%s: %w", benchmark, opt.Mode, err)
+	}
+	if opt.Oracle {
+		// Attach before the first cycle: the checker clones the initial
+		// memory, which the core's own emulator mutates as it runs ahead.
+		oracle.Attach(c, prg, mem)
+	}
+	return c, nil
+}
+
+// lookup validates opt and returns benchmark's workload.
+func lookup(benchmark string, opt Options) (workload.Workload, error) {
+	if err := opt.Validate(); err != nil {
+		return workload.Workload{}, fmt.Errorf("%w (benchmark %s)", err, benchmark)
+	}
+	return workload.ByName(benchmark)
 }
 
 func buildResult(benchmark string, mode Mode, cfg core.Config, st *stats.Stats) Result {
@@ -403,21 +415,9 @@ func buildResult(benchmark string, mode Mode, cfg core.Config, st *stats.Stats) 
 		Cycles:      st.Cycles,
 		Uops:        st.RetiredUops,
 		IPC:         st.IPC(),
-		MLP:         st.MLP(),
-		MemTraffic:  st.MemTraffic(),
 		EnergyPJ:    rep.TotalPJ,
 		AreaRel:     rep.AreaRel,
 		CDFAreaFrac: rep.CDFAreaFrac,
-
-		BranchMPKI: st.BranchMPKI(),
-		LLCMPKI:    st.LLCMPKI(),
-
-		StallROBCritFrac:      st.StallROBCriticalFrac(),
-		FullWindowStallCycles: st.FullWindowStallCycles,
-
-		CDFModeCycles:        st.CDFModeCycles,
-		DependenceViolations: st.DependenceViolations,
-		RunaheadIntervals:    st.RunaheadIntervals,
 	}
 	for _, row := range st.Table() {
 		res.Metrics = append(res.Metrics, Metric{Name: row.Name, Value: row.Value})

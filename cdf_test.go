@@ -1,8 +1,16 @@
 package cdf
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"cdf/internal/stats"
 )
 
 func TestBenchmarksRegistry(t *testing.T) {
@@ -28,6 +36,66 @@ func TestBenchmarksRegistry(t *testing.T) {
 		default:
 			t.Fatalf("%s: unknown Expect %q", b.Name, b.Expect)
 		}
+	}
+}
+
+// TestMetricNamesAreTableRows: Result.Metric reads 0 for an unknown name,
+// so a misspelt name would put a silent zero into a figure or report. Every
+// string literal passed to a .Metric( call in the non-test sources of the
+// root package, cmd/, examples/ and internal/ must be a row of the
+// statistics table.
+func TestMetricNamesAreTableRows(t *testing.T) {
+	rows := map[string]bool{}
+	for _, r := range (&stats.Stats{}).Table() {
+		rows[r.Name] = true
+	}
+	fset := token.NewFileSet()
+	calls := 0
+	check := func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Metric" {
+			return true
+		}
+		lit, ok := call.Args[0].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			return true
+		}
+		calls++
+		if name, err := strconv.Unquote(lit.Value); err != nil || !rows[name] {
+			t.Errorf("%s: Metric(%s) is not a statistics table row", fset.Position(lit.Pos()), lit.Value)
+		}
+		return true
+	}
+	for _, root := range []string{".", "cmd", "examples", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if root == "." && path != "." {
+					return fs.SkipDir // the root package only; bench/ is its own module
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, check)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls == 0 {
+		t.Fatal("found no Metric calls with a literal name; the source walk is broken")
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 	"cdf/internal/sweepd"
 	"cdf/internal/sweepstore"
 	"cdf/internal/units"
-	"cdf/internal/workload"
 )
 
 func main() {
@@ -181,8 +180,6 @@ func main() {
 			fmt.Printf("ipc 95%% ci  [%.4f, %.4f] (stderr %.4f)\n", s.CILow, s.CIHigh, s.IPCStderr)
 		}
 	}
-	fmt.Printf("mlp         %.2f\n", res.MLP)
-	fmt.Printf("mem traffic %d lines\n", res.MemTraffic)
 	fmt.Printf("energy      %.4e pJ (area %.3fx, cdf share %.1f%%)\n",
 		res.EnergyPJ, res.AreaRel, 100*res.CDFAreaFrac)
 	fmt.Println()
@@ -192,22 +189,11 @@ func main() {
 }
 
 // tracedRun runs the benchmark with tr attached to the machine cdf.Run
-// builds for opt (validated the same way) and returns the finished core.
+// builds for opt and returns the finished core.
 func tracedRun(bench string, opt cdf.Options, tr core.Tracer) (*core.Core, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	w, err := workload.ByName(bench)
+	c, err := cdf.NewCore(bench, opt)
 	if err != nil {
 		return nil, err
-	}
-	p, m := w.Build()
-	c, err := core.New(opt.CoreConfig(), p, m)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Oracle {
-		oracle.Attach(c, p, m)
 	}
 	c.SetTracer(tr)
 	if _, err := harness.Exec(context.Background(), c, harness.Options{Timeout: opt.Timeout, Seed: opt.Seed}); err != nil {

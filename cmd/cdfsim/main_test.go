@@ -38,11 +38,13 @@ func TestTracedRunMatchesRun(t *testing.T) {
 }
 
 // TestTracedRunValidates pins that -trace rejects the option combinations
-// the untraced run rejects.
+// the untraced run rejects, and a sampled run, which has no one machine to
+// trace.
 func TestTracedRunValidates(t *testing.T) {
 	for _, opt := range []cdf.Options{
 		{Mode: cdf.ModeBaseline, MaxUops: 3000, FDIP: true},
 		{Mode: cdf.ModeBaseline, MaxUops: 3000, WarmupUops: 3000},
+		{Mode: cdf.ModeBaseline, MaxUops: 40_000, Sampling: cdf.Sampling{Interval: 10_000}},
 	} {
 		if _, err := tracedRun("server", opt, &core.TextTracer{W: io.Discard}); err == nil {
 			t.Errorf("traced run accepted invalid options %+v", opt)

@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"cdf"
-	"cdf/internal/core"
 	"cdf/internal/emu"
 	"cdf/internal/harness"
 	"cdf/internal/profiling"
@@ -63,12 +62,7 @@ func main() {
 
 	// Train the CDF machinery so the Critical Uop Cache holds this
 	// kernel's traces, then read the masks out for annotation.
-	if err := opt.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "cdftrace:", err)
-		os.Exit(1)
-	}
-	p, m := w.Build()
-	c, err := core.New(opt.CoreConfig(), p, m)
+	c, err := cdf.NewCore(*bench, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdftrace:", err)
 		os.Exit(1)

@@ -64,9 +64,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  baseline: MLP %.2f, IPC %.3f\n", baseRes.MLP, baseRes.IPC)
+	fmt.Printf("  baseline: MLP %.2f, IPC %.3f\n", baseRes.Metric("mlp"), baseRes.IPC)
 	fmt.Printf("  CDF:      MLP %.2f, IPC %.3f (%+.1f%%)\n",
-		cdfRes.MLP, cdfRes.IPC, 100*(cdfRes.IPC/baseRes.IPC-1))
-	fmt.Printf("  CDF spent %d of %d cycles in CDF mode, with %d dependence violations\n",
-		cdfRes.CDFModeCycles, cdfRes.Cycles, cdfRes.DependenceViolations)
+		cdfRes.Metric("mlp"), cdfRes.IPC, 100*(cdfRes.IPC/baseRes.IPC-1))
+	fmt.Printf("  CDF spent %.0f of %d cycles in CDF mode, with %.0f dependence violations\n",
+		cdfRes.Metric("cdf_mode_cycles"), cdfRes.Cycles, cdfRes.Metric("dependence_violations"))
 }

@@ -30,8 +30,8 @@ func main() {
 		if mode == cdf.ModeBaseline {
 			base = res
 		}
-		fmt.Printf("%-10s ipc=%.3f  mlp=%5.2f  traffic=%6d lines  speedup=%+6.1f%%\n",
-			mode, res.IPC, res.MLP, res.MemTraffic, 100*(res.IPC/base.IPC-1))
+		fmt.Printf("%-10s ipc=%.3f  mlp=%5.2f  traffic=%6.0f lines  speedup=%+6.1f%%\n",
+			mode, res.IPC, res.Metric("mlp"), res.Metric("mem_traffic"), 100*(res.IPC/base.IPC-1))
 	}
 
 	fmt.Println("\nCDF wins by fetching, renaming and executing the critical dependence")

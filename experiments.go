@@ -187,11 +187,12 @@ type Fig1Row struct {
 func Fig1ROBOccupancy(o SuiteOptions) ([]Fig1Row, error) {
 	observe := variant{ModeBaseline, func(o *Options) { o.TrainCriticality = true }}
 	return perKernel(o, o.benches(), []variant{observe}, func(b string, r []*Result) Fig1Row {
+		frac := r[0].Metric("stall_rob_crit_frac")
 		return Fig1Row{
 			Benchmark:       b,
-			CriticalFrac:    r[0].StallROBCritFrac,
-			NonCriticalFrac: 1 - r[0].StallROBCritFrac,
-			StallCycles:     r[0].FullWindowStallCycles,
+			CriticalFrac:    frac,
+			NonCriticalFrac: 1 - frac,
+			StallCycles:     uint64(r[0].Metric("full_window_stall_cycles")),
 		}
 	})
 }
@@ -248,11 +249,11 @@ type Fig14Row struct {
 // wrong-path loads that do not convert to speedup, while CDF's convert.
 func Fig14MLP(o SuiteOptions) ([]Fig14Row, error) {
 	return perKernel(o, o.benches(), paperMachines, func(b string, r []*Result) Fig14Row {
-		base, cdf, pre := r[0], r[1], r[2]
-		if base.MLP == 0 {
+		base, cdf, pre := r[0].Metric("mlp"), r[1].Metric("mlp"), r[2].Metric("mlp")
+		if base == 0 {
 			return Fig14Row{Benchmark: b, CDFMLPRel: 1, PREMLPRel: 1}
 		}
-		return Fig14Row{Benchmark: b, CDFMLPRel: cdf.MLP / base.MLP, PREMLPRel: pre.MLP / base.MLP}
+		return Fig14Row{Benchmark: b, CDFMLPRel: cdf / base, PREMLPRel: pre / base}
 	})
 }
 
@@ -270,14 +271,14 @@ type Fig15Row struct {
 // (the paper reports CDF generating 4% less extra traffic than PRE).
 func Fig15Traffic(o SuiteOptions) ([]Fig15Row, error) {
 	return perKernel(o, o.benches(), paperMachines, func(b string, r []*Result) Fig15Row {
-		base := float64(r[0].MemTraffic)
+		base := r[0].Metric("mem_traffic")
 		if base == 0 {
 			base = 1
 		}
 		return Fig15Row{
 			Benchmark:     b,
-			CDFTrafficRel: float64(r[1].MemTraffic) / base,
-			PRETrafficRel: float64(r[2].MemTraffic) / base,
+			CDFTrafficRel: r[1].Metric("mem_traffic") / base,
+			PRETrafficRel: r[2].Metric("mem_traffic") / base,
 		}
 	})
 }

@@ -74,8 +74,8 @@ func AblationNoMaskCache(o SuiteOptions) ([]MaskAblationRow, error) {
 			Benchmark:        b,
 			Speedup:          with.IPC / base,
 			NoMaskSpeedup:    without.IPC / base,
-			Violations:       with.DependenceViolations,
-			NoMaskViolations: without.DependenceViolations,
+			Violations:       uint64(with.Metric("dependence_violations")),
+			NoMaskViolations: uint64(without.Metric("dependence_violations")),
 		}
 	})
 }

@@ -50,11 +50,9 @@ type Warmer struct {
 	frontDec    *front.Decoder
 	frontThr    *prefetch.FDP
 
-	n uint64 // uops observed
-
 	// pos is the absolute program position (in executed uops) of the
-	// warmer's clock, the position crit trains at. Unlike n it survives
-	// handoffs: Resync pulls it forward past each measured region.
+	// warmer's clock, the position crit trains at. It survives handoffs:
+	// Resync pulls it forward past each measured region.
 	pos uint64
 
 	lastILine uint64
@@ -118,7 +116,6 @@ func (w *Warmer) compatible(cfg Config, p *prog.Program) error {
 // not during catch-up over a measured region, which the interval core has
 // already trained cycle-accurately).
 func (w *Warmer) Observe(d *emu.DynUop) {
-	w.n++
 	w.pos++
 
 	// I-side: like the fetch engine, one cache touch per distinct line.
@@ -231,6 +228,3 @@ func (w *Warmer) Resync(c *Core) {
 	w.pos = c.posBase + c.FetchFrontier()
 	w.haveILine = false
 }
-
-// Observed returns the number of uops the warmer has observed.
-func (w *Warmer) Observed() uint64 { return w.n }

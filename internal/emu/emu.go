@@ -221,28 +221,6 @@ func (e *Emulator) ArchState() ArchState {
 	}
 }
 
-// Diff returns a human-readable list of the fields in which a differs from
-// b, one item per difference ("R7: 3 vs 9"). An empty slice means the
-// states are architecturally identical.
-func (a ArchState) Diff(b ArchState) []string {
-	var out []string
-	if a.Seq != b.Seq {
-		out = append(out, fmt.Sprintf("seq: %d vs %d", a.Seq, b.Seq))
-	}
-	if a.BlockID != b.BlockID || a.Index != b.Index {
-		out = append(out, fmt.Sprintf("position: B%d[%d] vs B%d[%d]", a.BlockID, a.Index, b.BlockID, b.Index))
-	}
-	if a.Halted != b.Halted {
-		out = append(out, fmt.Sprintf("halted: %v vs %v", a.Halted, b.Halted))
-	}
-	for r := 0; r < isa.NumRegs; r++ {
-		if a.Regs[r] != b.Regs[r] {
-			out = append(out, fmt.Sprintf("%s: %d vs %d", isa.Reg(r), a.Regs[r], b.Regs[r]))
-		}
-	}
-	return out
-}
-
 // String renders the state compactly (registers holding zero are elided).
 func (a ArchState) String() string {
 	var sb strings.Builder

@@ -73,10 +73,6 @@ func (c Case) Build() (*prog.Program, *emu.Memory, core.Config, error) {
 	return p, m, cfg, nil
 }
 
-// generated reports whether the case's program came from the seed-driven
-// generator (and is therefore shrinkable).
-func (c Case) generated() bool { return c.Bench == "" }
-
 // materialize resolves a seed-generated case into its explicit program
 // form, so the shrinker can edit it.
 func (c Case) materialize() (Case, error) {

@@ -71,9 +71,6 @@ func NewCache(name string, sizeBytes, ways int, lineBytes uint64, hitLat, mshrs 
 	}
 }
 
-// HitLatency returns the access latency on a hit.
-func (c *Cache) HitLatency() int { return c.hitLat }
-
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -84,5 +85,22 @@ func TestFormatters(t *testing.T) {
 	}
 	if Frac(0.318) != "31.8%" {
 		t.Fatalf("Frac wrong: %q", Frac(0.318))
+	}
+}
+
+// TestFormattersGuardNonFinite: NaN/Inf from a partial sweep renders as
+// "n/a", never as a number-shaped string.
+func TestFormattersGuardNonFinite(t *testing.T) {
+	bads := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, v := range bads {
+		if got := Pct(v); got != NA {
+			t.Errorf("Pct(%v) = %q, want %q", v, got, NA)
+		}
+		if got := Rel(v); got != NA {
+			t.Errorf("Rel(%v) = %q, want %q", v, got, NA)
+		}
+		if got := Frac(v); got != NA {
+			t.Errorf("Frac(%v) = %q, want %q", v, got, NA)
+		}
 	}
 }

@@ -262,7 +262,7 @@ func (s *Stats) MemTraffic() uint64 { return s.DRAMReads + s.DRAMWrites }
 // name/value rows for reports.
 func (s *Stats) Table() []Row {
 	c := s.counters()
-	rows := make([]Row, 0, numCounters+7) // counters + the derived rows below
+	rows := make([]Row, 0, numCounters+8) // counters + the derived rows below
 	for i, m := range counterTab {
 		rows = append(rows, Row{m.name, float64(c[i])})
 	}
@@ -274,6 +274,7 @@ func (s *Stats) Table() []Row {
 		Row{"ftq_avg_occupancy", s.FTQOccupancy()},
 		Row{"mem_traffic", float64(s.MemTraffic())},
 		Row{"mlp", s.MLP()},
+		Row{"stall_rob_crit_frac", s.StallROBCriticalFrac()},
 	)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	return rows

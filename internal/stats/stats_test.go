@@ -296,7 +296,7 @@ func TestTableListsEveryCounter(t *testing.T) {
 		}
 		delete(byName, m.name)
 	}
-	derived := []string{"ipc", "branch_mpki", "l1i_mpki", "llc_mpki", "ftq_avg_occupancy", "mem_traffic", "mlp"}
+	derived := []string{"ipc", "branch_mpki", "l1i_mpki", "llc_mpki", "ftq_avg_occupancy", "mem_traffic", "mlp", "stall_rob_crit_frac"}
 	for _, name := range derived {
 		if _, ok := byName[name]; !ok {
 			t.Errorf("derived row %q missing", name)

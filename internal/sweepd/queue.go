@@ -160,8 +160,8 @@ func (r Row) csv() []string {
 		rec[4] = strconv.FormatUint(r.Result.Cycles, 10)
 		rec[5] = strconv.FormatUint(r.Result.Uops, 10)
 		rec[6] = strconv.FormatFloat(r.Result.IPC, 'f', 6, 64)
-		rec[7] = strconv.FormatFloat(r.Result.MLP, 'f', 6, 64)
-		rec[8] = strconv.FormatUint(r.Result.MemTraffic, 10)
+		rec[7] = strconv.FormatFloat(r.Result.Metric("mlp"), 'f', 6, 64)
+		rec[8] = strconv.FormatFloat(r.Result.Metric("mem_traffic"), 'f', 0, 64)
 		rec[9] = strconv.FormatFloat(r.Result.EnergyPJ, 'f', 3, 64)
 		for i, m := range csvHeader[10:] {
 			rec[10+i] = strconv.FormatFloat(r.Result.Metric(m), 'f', 3, 64)

@@ -1,6 +1,7 @@
 package sweepd
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -23,6 +24,43 @@ func TestCSVMetricNamesAreCounterRows(t *testing.T) {
 		if !rows[name] {
 			t.Errorf("csv column %q is not a statistics table row", name)
 		}
+	}
+}
+
+// TestWriteCSVGolden pins the exact bytes of the sweep table for a done full
+// run, a done sampled run and a failed case. The smoke tests only compare
+// two runs of one binary, so a change in how a column is formatted or where
+// its value comes from would otherwise pass them.
+func TestWriteCSVGolden(t *testing.T) {
+	full, err := cdf.Run("deepcall", cdf.Options{Mode: cdf.ModeCDF, MaxUops: 20000, Seed: 1, Frontend: true, FDIP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled, err := cdf.Run("astar", cdf.Options{Mode: cdf.ModePRE, MaxUops: 40000, Seed: 2,
+		Sampling: cdf.Sampling{Interval: 10000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ipc column is the SMARTS estimator, not the pooled table row.
+	if sampled.IPC == sampled.Metric("ipc") {
+		t.Fatalf("sampled run: estimator IPC equals the pooled ipc row (%v); pick a run where they differ", sampled.IPC)
+	}
+	rows := []Row{
+		{Bench: "deepcall", Mode: "cdf", Seed: 1, Status: "done", Result: &full},
+		{Bench: "astar", Mode: "pre", Seed: 2, Status: "done", FromCache: true, Result: &sampled},
+		{Bench: "omnetpp", Mode: "hybrid", Seed: 3, Status: "failed", Error: "sim: watchdog"},
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	const want = `bench,mode,seed,status,cycles,uops,ipc,mlp,mem_traffic,energy_pj,l1i_mpki,ftq_avg_occupancy,fetch_stall_imiss,fetch_stall_btb,fetch_stall_redirect
+deepcall,cdf,1,done,53560,20000,0.373413,0.000000,767,4549727.165,3.300,0.576,46327.000,2692.000,0.000
+astar,pre,2,done,8264,2506,0.303122,2.720059,383,1540347.606,0.000,0.000,0.000,0.000,320.000
+omnetpp,hybrid,3,failed,,,,,,,,,,,
+`
+	if got := buf.String(); got != want {
+		t.Errorf("WriteCSV:\n%s\nwant:\n%s", got, want)
 	}
 }
 

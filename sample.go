@@ -10,7 +10,6 @@ import (
 	"cdf/internal/oracle"
 	"cdf/internal/prog"
 	"cdf/internal/stats"
-	"cdf/internal/workload"
 )
 
 // Sampling configures sampled simulation (SMARTS/SimPoint-style systematic
@@ -333,9 +332,13 @@ func (s *sampler) finishEarly() {
 		s.master.Executed(), s.end, s.nIvl, (s.end-s.base)/s.samp.Interval)
 }
 
-// runSampled executes one benchmark in sampled mode. opt must have passed
-// Validate with Sampling enabled.
-func runSampled(ctx context.Context, benchmark string, w workload.Workload, opt Options) (Result, error) {
+// runSampled executes one benchmark in sampled mode. opt must have
+// Sampling enabled.
+func runSampled(ctx context.Context, benchmark string, opt Options) (Result, error) {
+	w, err := lookup(benchmark, opt)
+	if err != nil {
+		return Result{}, err
+	}
 	prg, m := w.Build()
 	cfg := opt.CoreConfig()
 	samp := opt.Sampling.effective()
