@@ -227,10 +227,3 @@ func popcount(x uint64) int {
 	}
 	return n
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"cdf/internal/cdf"
 	"cdf/internal/isa"
 	"cdf/internal/stats"
 )
@@ -20,30 +21,56 @@ func (c *Core) allocate() {
 	c.allocRegular(budget)
 }
 
-// critRSLimit returns the cap on critical uops in the RS; it follows the
-// ROB partition ratio (§3.5: "the number of critical uops in the RS and PRF
-// change with the ROB partition size").
-func (c *Core) critRSLimit() int {
-	if c.robPart == nil {
-		return c.cfg.RSSize
-	}
-	return c.cfg.RSSize * c.robPart.CritCap / c.cfg.ROBSize
+// The structures §3.5 splits into a critical and a non-critical section,
+// indexed as partitions lists them.
+const (
+	partROB = iota
+	partLQ
+	partSQ
+)
+
+var partNames = [3]string{"ROB", "LQ", "SQ"}
+
+// partitions returns the ROB, LQ and SQ partitions (all nil outside the CDF
+// modes).
+func (c *Core) partitions() [3]*cdf.Partition {
+	return [3]*cdf.Partition{c.robPart, c.lqPart, c.sqPart}
 }
 
-func (c *Core) critPRFLimit() int {
-	if c.robPart == nil {
-		return c.cfg.PRFSize
+// occupancy returns partitioned structure i's capacity and its entries in
+// use: all of them, and those of the critical section.
+func (c *Core) occupancy(i int) (size, used, crit int) {
+	switch i {
+	case partROB:
+		crit = c.robCrit.len()
+		return c.cfg.ROBSize, crit + c.robNon.len(), crit
+	case partLQ:
+		return c.cfg.LQSize, c.lq.len(), c.lqCrit
 	}
-	lim := c.cfg.PRFSize * c.robPart.CritCap / c.cfg.ROBSize
-	if lim < 16 {
-		lim = 16
-	}
-	return lim
+	return c.cfg.SQSize, c.sq.len(), c.sqCrit
 }
 
-// sectionHead returns the oldest in-flight entry of the given criticality
-// class in a program-ordered fifo.
-func sectionHead(f *fifo, critical bool) *entry {
+// atCap reports whether a stream's section of a partitioned structure with
+// used entries in use, crit of them critical, is at its partition cap.
+func atCap(p *cdf.Partition, used, crit int, critical bool) bool {
+	if critical {
+		return crit >= p.CritCap
+	}
+	return used-crit >= p.NonCritCap()
+}
+
+// sectionHead returns the oldest in-flight entry of a stream's section of
+// partitioned structure i.
+func (c *Core) sectionHead(i int, critical bool) *entry {
+	f := &c.lq
+	switch {
+	case i == partROB && critical:
+		f = &c.robCrit
+	case i == partROB:
+		f = &c.robNon
+	case i == partSQ:
+		f = &c.sq
+	}
 	for _, e := range f.items {
 		if e.critical == critical {
 			return e
@@ -60,28 +87,78 @@ func stalledOnLatency(e *entry) bool {
 	return e != nil && e.state != stateDone
 }
 
-// noteCritHogging records reverse partition pressure: the critical section
-// of a structure is full and that is throttling the in-order (non-critical)
-// stream, so the critical share should shrink. Only the first full
-// structure is charged, and only when its critical head is *not* waiting on
-// memory (a latency-stalled critical section is doing its job — shrinking
-// it would surrender MLP; a section full of completed uops is hogging).
-func (c *Core) noteCritHogging() {
-	if c.robPart == nil {
-		return
+// hasRoom is the backend's one allocation rule (§3.5), shared by both rename
+// stages: it reports whether e finds room in its stream's share of the ROB,
+// RS, LQ, SQ and PRF, and of the CMQ for a critical writer. The critical
+// stream's split is always in force; the regular stream's only while a CDF
+// episode is live or still draining. The RS and PRF cap critical occupancy
+// in proportion to the ROB split. The first full ROB, RS, LQ or SQ is
+// charged its full-cycle counter (see sectionFull); a full PRF or CMQ is
+// not.
+func (c *Core) hasRoom(e *entry) bool {
+	crit := e.critical
+	split := crit || c.robPart != nil && (c.cdfOn || c.robCrit.len() > 0)
+	if c.sectionFull(partROB, crit, split, &c.st.ROBFullCycles) {
+		return false
 	}
-	switch {
-	case c.robCrit.len() >= c.robPart.CritCap:
-		if !stalledOnLatency(c.robCrit.head()) {
-			c.robPart.NoteStall(false)
-		}
-	case c.lqCrit >= c.lqPart.CritCap:
-		if !stalledOnLatency(sectionHead(&c.lq, true)) {
-			c.lqPart.NoteStall(false)
-		}
-	case c.sqCrit >= c.sqPart.CritCap:
-		if !stalledOnLatency(sectionHead(&c.sq, true)) {
-			c.sqPart.NoteStall(false)
+	if c.rsLen >= c.cfg.RSSize || crit && c.rsCrit >= c.critRSLimit() {
+		c.st.RSFullCycles++
+		return false
+	}
+	if e.op.IsLoad() && c.sectionFull(partLQ, crit, split, &c.st.LQFullCycles) ||
+		e.op.IsStore() && c.sectionFull(partSQ, crit, split, &c.st.SQFullCycles) {
+		return false
+	}
+	if e.wrongPath || !e.dyn.U.Op.HasDst() {
+		return true
+	}
+	return c.rf.freeCount() > 0 &&
+		(!crit || c.rf.critInFlight < c.critPRFLimit() && c.cmq.len() < c.cfg.CDF.CMQSize)
+}
+
+// sectionFull reports whether a stream's section of partitioned structure i
+// has no room: the structure is full as a whole or, with the split in
+// force, the section is at its cap. A full section counts the cycle in
+// *counter and, with the split in force, charges the partition a stall of
+// the section — pressure to grow it — when its oldest entry still waits on
+// a result.
+func (c *Core) sectionFull(i int, critical, split bool, counter *uint64) bool {
+	p := c.partitions()[i]
+	if size, used, crit := c.occupancy(i); used < size && !(split && atCap(p, used, crit, critical)) {
+		return false
+	}
+	*counter++
+	if split && stalledOnLatency(c.sectionHead(i, critical)) {
+		p.NoteStall(critical)
+	}
+	return true
+}
+
+// critRSLimit returns the cap on critical uops in the RS; it follows the
+// ROB partition ratio (§3.5: "the number of critical uops in the RS and PRF
+// change with the ROB partition size").
+func (c *Core) critRSLimit() int {
+	return c.cfg.RSSize * c.robPart.CritCap / c.cfg.ROBSize
+}
+
+func (c *Core) critPRFLimit() int {
+	return max(c.cfg.PRFSize*c.robPart.CritCap/c.cfg.ROBSize, 16)
+}
+
+// noteCritHogging records reverse partition pressure: the critical section
+// of a structure is at its cap and that is throttling the in-order
+// (non-critical) stream, so the critical share should shrink. Only the
+// first such structure is charged, and only when its critical head is *not*
+// waiting on memory (a latency-stalled critical section is doing its job —
+// shrinking it would surrender MLP; a section full of completed uops is
+// hogging).
+func (c *Core) noteCritHogging() {
+	for i, p := range c.partitions() {
+		if _, used, crit := c.occupancy(i); atCap(p, used, crit, true) {
+			if !stalledOnLatency(c.sectionHead(i, true)) {
+				p.NoteStall(false)
+			}
+			return
 		}
 	}
 }
@@ -99,42 +176,8 @@ func (c *Core) allocCritical(budget int) int {
 			}
 			c.rf.forkCritRAT()
 		}
-
-		// Structural resources for the critical sections. Growth pressure
-		// registers only when the section's fullness is latency-caused.
-		if c.robCrit.len() >= c.robPart.CritCap {
-			c.st.ROBFullCycles++
-			if stalledOnLatency(c.robCrit.head()) {
-				c.robPart.NoteStall(true)
-			}
+		if !c.hasRoom(e) {
 			break
-		}
-		if c.rsLen >= c.cfg.RSSize || c.rsCrit >= c.critRSLimit() {
-			c.st.RSFullCycles++
-			break
-		}
-		if e.op.IsLoad() && (c.lq.len() >= c.cfg.LQSize || c.lqCrit >= c.lqPart.CritCap) {
-			c.st.LQFullCycles++
-			if stalledOnLatency(sectionHead(&c.lq, true)) {
-				c.lqPart.NoteStall(true)
-			}
-			break
-		}
-		if e.op.IsStore() && (c.sq.len() >= c.cfg.SQSize || c.sqCrit >= c.sqPart.CritCap) {
-			c.st.SQFullCycles++
-			if stalledOnLatency(sectionHead(&c.sq, true)) {
-				c.sqPart.NoteStall(true)
-			}
-			break
-		}
-		hasDst := !e.wrongPath && e.dyn.U.Op.HasDst()
-		if hasDst {
-			if c.rf.freeCount() == 0 || c.rf.critInFlight >= c.critPRFLimit() {
-				break
-			}
-			if c.cmq.len() >= c.cfg.CDF.CMQSize {
-				break
-			}
 		}
 
 		// Rename against the critical RAT.
@@ -142,11 +185,8 @@ func (c *Core) allocCritical(budget int) int {
 			u := e.dyn.U
 			e.src1 = c.rf.lookup(u.Src1, true)
 			e.src2 = c.rf.lookup(u.Src2, true)
-			if hasDst {
-				p, ok := c.rf.alloc()
-				if !ok {
-					break
-				}
+			if u.Op.HasDst() {
+				p, _ := c.rf.alloc() // hasRoom saw a free register
 				e.prevCrit = c.rf.critRAT[u.Dst]
 				c.rf.critRAT[u.Dst] = p
 				e.dstPhys = p
@@ -198,7 +238,10 @@ func (c *Core) allocRegular(budget int) {
 				c.st.DependenceViolations++
 				c.fetchQ.popHead()
 				c.pool.put(e)
-				c.dependenceViolation(t)
+				if c.tracer != nil {
+					c.traceMode(fmt.Sprintf("register dependence violation at seq %d", t.seq))
+				}
+				c.violation(t)
 				return
 			}
 			if u.Op.HasDst() {
@@ -219,46 +262,7 @@ func (c *Core) allocRegular(budget int) {
 			budget--
 			continue
 		}
-
-		// Structural resources for the (non-critical) section. The
-		// partition exists only while a CDF episode is live (it is created
-		// when the first critical uop arrives, §3.5) or still draining.
-		partActive := c.robPart != nil && (c.cdfOn || c.robCrit.len() > 0)
-		nonCap := c.cfg.ROBSize
-		if partActive {
-			nonCap = c.robPart.NonCritCap()
-		}
-		if c.robNon.len() >= nonCap {
-			c.st.ROBFullCycles++
-			if partActive && stalledOnLatency(c.robNon.head()) {
-				c.robPart.NoteStall(false)
-			}
-			break
-		}
-		if c.rsLen >= c.cfg.RSSize {
-			c.st.RSFullCycles++
-			break
-		}
-		lqCap, sqCap := c.cfg.LQSize, c.cfg.SQSize
-		if partActive {
-			lqCap, sqCap = c.lqPart.NonCritCap(), c.sqPart.NonCritCap()
-		}
-		if e.op.IsLoad() && (c.lq.len() >= c.cfg.LQSize || c.lq.len()-c.lqCrit >= lqCap) {
-			c.st.LQFullCycles++
-			if partActive && stalledOnLatency(sectionHead(&c.lq, false)) {
-				c.lqPart.NoteStall(false)
-			}
-			break
-		}
-		if e.op.IsStore() && (c.sq.len() >= c.cfg.SQSize || c.sq.len()-c.sqCrit >= sqCap) {
-			c.st.SQFullCycles++
-			if partActive && stalledOnLatency(sectionHead(&c.sq, false)) {
-				c.sqPart.NoteStall(false)
-			}
-			break
-		}
-		hasDst := !e.wrongPath && e.dyn.U.Op.HasDst()
-		if hasDst && c.rf.freeCount() == 0 {
+		if !c.hasRoom(e) {
 			break
 		}
 
@@ -267,11 +271,8 @@ func (c *Core) allocRegular(budget int) {
 			u := e.dyn.U
 			e.src1 = c.rf.lookup(u.Src1, false)
 			e.src2 = c.rf.lookup(u.Src2, false)
-			if hasDst {
-				p, ok := c.rf.alloc()
-				if !ok {
-					break
-				}
+			if u.Op.HasDst() {
+				p, _ := c.rf.alloc() // hasRoom saw a free register
 				e.prevReg = c.rf.rat[u.Dst]
 				c.rf.rat[u.Dst] = p
 				e.dstPhys = p
@@ -325,14 +326,12 @@ func (c *Core) dispatch(e *entry) {
 	}
 	if e.op.IsLoad() {
 		c.lq.insertOrdered(e)
-		e.inLQ = true
 		if e.critical {
 			c.lqCrit++
 		}
 	}
 	if e.op.IsStore() {
 		c.sq.insertOrdered(e)
-		e.inSQ = true
 		if e.critical {
 			c.sqCrit++
 		}
@@ -461,7 +460,7 @@ func (c *Core) execute(e *entry) {
 		if _, fwd := c.loadBlockedByStore(e); fwd != nil {
 			// Store-to-load forwarding.
 			e.forwarded = true
-			e.doneAt = maxU(c.now, fwd.doneAt) + uint64(c.cfg.Mem.L1DLatency)
+			e.doneAt = max(c.now, fwd.doneAt) + uint64(c.cfg.Mem.L1DLatency)
 			break
 		}
 		res := c.hier.Load(e.addr, c.now+1, false)
@@ -520,7 +519,7 @@ func (c *Core) processMemViolation() {
 	for _, e := range c.lq.items {
 		if e == ld {
 			c.st.MemOrderViolations++
-			c.memoryViolation(ld)
+			c.violation(ld)
 			return
 		}
 	}
@@ -624,7 +623,6 @@ func (c *Core) retireEntry(e *entry) {
 			panic(errInternal("LQ retire head mismatch"))
 		}
 		c.lq.popHead()
-		e.inLQ = false
 		if e.critical {
 			c.lqCrit--
 		}
@@ -635,7 +633,6 @@ func (c *Core) retireEntry(e *entry) {
 			panic(errInternal("SQ retire head mismatch"))
 		}
 		c.sq.popHead()
-		e.inSQ = false
 		if e.critical {
 			c.sqCrit--
 		}
@@ -843,17 +840,11 @@ func (c *Core) recoverBranch(br *entry) {
 		c.traceMode(fmt.Sprintf("mispredicted branch at seq %d resolves", br.seq))
 	}
 	c.collectFlush(br.seq, br.sub, false)
-
-	wasAhead := c.regSeq > br.seq+1 || (c.regWPActive && c.regWPSeq == br.seq)
-	if c.regWPActive && c.regWPSeq == br.seq {
-		c.regWPActive = false
-	}
-	c.regSeq = minU(c.regSeq, br.seq+1)
-	c.regNextSeq = minU(c.regNextSeq, br.seq+1)
+	// The regular fetcher re-reads its line either way; it refetches only
+	// if it had gone past the branch.
 	c.haveFetchLine = false
-	if wasAhead {
-		c.fetchStallUntil = c.now + uint64(c.cfg.RedirectPenalty)
-		c.fetchStallReason = stallRedirect
+	if c.regSeq > br.seq+1 || c.regWPActive && c.regWPSeq == br.seq {
+		c.refetch(br.seq + 1)
 	}
 
 	if !c.cdfOn {
@@ -887,51 +878,28 @@ func (c *Core) recoverBranch(br *entry) {
 	c.exitCDFNow()
 }
 
-// dependenceViolation handles a poisoned-register read by a critical uop:
-// flush from the violating instruction (inclusive) and restart in regular
-// mode (§3.6 "Dependence Violations in the Critical Instruction Stream").
-func (c *Core) dependenceViolation(v *entry) {
-	seq := v.seq // the inclusive flush recycles v itself
-	if c.tracer != nil {
-		c.traceMode(fmt.Sprintf("register dependence violation at seq %d", seq))
-	}
-	c.collectFlush(seq, 0, true)
-	c.exitCDFNow()
-	c.regSeq = minU(c.regSeq, seq)
-	c.regNextSeq = minU(c.regNextSeq, seq)
-	c.regWPActive = false
-	c.haveFetchLine = false
-	c.fetchStallUntil = c.now + uint64(c.cfg.RedirectPenalty)
-	c.fetchStallReason = stallRedirect
-}
-
-// memoryViolation flushes from a load that read memory too early and
-// restarts fetch there; in CDF mode the processor restarts in regular mode
-// (§3.5 "Memory Disambiguation").
-func (c *Core) memoryViolation(ld *entry) {
-	seq := ld.seq // the inclusive flush recycles ld itself
-	c.collectFlush(seq, ld.sub, true)
+// violation flushes from e (inclusive) and restarts fetch there in regular
+// mode: the §3.6 recovery from a poisoned-register read by a critical uop
+// ("Dependence Violations in the Critical Instruction Stream") and the
+// §3.5 one from a load that read memory too early ("Memory
+// Disambiguation").
+func (c *Core) violation(e *entry) {
+	seq := e.seq // the inclusive flush recycles e itself
+	c.collectFlush(seq, e.sub, true)
 	if c.cdfOn {
 		c.exitCDFNow()
 	}
+	c.refetch(seq)
+}
+
+// refetch redirects the regular fetcher to seq after a flush: it leaves any
+// wrong path, fetch and rename resume at seq, and fetch waits out the
+// redirect penalty before re-reading its line.
+func (c *Core) refetch(seq uint64) {
 	c.regWPActive = false
-	c.regSeq = minU(c.regSeq, seq)
-	c.regNextSeq = minU(c.regNextSeq, seq)
+	c.regSeq = min(c.regSeq, seq)
+	c.regNextSeq = min(c.regNextSeq, seq)
 	c.haveFetchLine = false
 	c.fetchStallUntil = c.now + uint64(c.cfg.RedirectPenalty)
 	c.fetchStallReason = stallRedirect
-}
-
-func minU(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -260,10 +260,8 @@ func NewAt(cfg Config, p *prog.Program, em *emu.Emulator, w *Warmer) (*Core, err
 		c.robPart = cdf.NewPartition(cfg.ROBSize, cc.ROBStep, cc.PartitionStallThresh)
 		c.lqPart = cdf.NewPartition(cfg.LQSize, cc.LSQStep, cc.PartitionStallThresh)
 		c.sqPart = cdf.NewPartition(cfg.SQSize, cc.LSQStep, cc.PartitionStallThresh)
-		if cc.DisableDynamicPartition {
-			c.robPart.Frozen = true
-			c.lqPart.Frozen = true
-			c.sqPart.Frozen = true
+		for _, p := range c.partitions() {
+			p.Frozen = cc.DisableDynamicPartition
 		}
 	}
 	if cfg.Mode == ModePRE || cfg.Mode == ModeHybrid {
@@ -482,11 +480,13 @@ func (c *Core) endOfCycle() {
 
 	// Apply partition boundary movements.
 	if c.robPart != nil {
-		c.robPart.Apply(c.robCrit.len(), c.robNon.len())
-		c.lqPart.Apply(c.lqCrit, c.lq.len()-c.lqCrit)
-		c.sqPart.Apply(c.sqCrit, c.sq.len()-c.sqCrit)
-		c.st.PartitionGrows = c.robPart.Grows + c.lqPart.Grows + c.sqPart.Grows
-		c.st.PartitionShrinks = c.robPart.Shrinks + c.lqPart.Shrinks + c.sqPart.Shrinks
+		c.st.PartitionGrows, c.st.PartitionShrinks = 0, 0
+		for i, p := range c.partitions() {
+			_, used, crit := c.occupancy(i)
+			p.Apply(crit, used-crit)
+			c.st.PartitionGrows += p.Grows
+			c.st.PartitionShrinks += p.Shrinks
+		}
 	}
 
 	// Release retired stream positions (keep a safety margin for in-flight

@@ -48,16 +48,17 @@
 //     replays the mapping from the CMQ head — keeping the regular RAT in
 //     program order — and the replay marker is discarded rather than
 //     allocated. Poison bits on the regular RAT catch non-critical writers
-//     feeding critical readers (§3.6's dependence violations):
-//     dependenceViolation flushes from the violating uop and restarts in
-//     regular mode.
+//     feeding critical readers (§3.6's dependence violations): violation
+//     flushes from the violating uop and restarts in regular mode, as it
+//     does for a memory-order violation.
 //
 //   - §3.5 partitioning: the ROB, LQ and SQ are two program-ordered
 //     sections (fifo in entry.go) with capacities managed by
 //     cdf.Partition; the RS and PRF cap critical occupancy in proportion
-//     to the ROB split. Stall attribution (allocCritical/allocRegular plus
-//     noteCritHogging) drives the boundary; retire compares the two
-//     sections' head sequence numbers.
+//     to the ROB split. One allocation rule, hasRoom, serves both rename
+//     stages and charges the first full section; its stalls, with
+//     noteCritHogging's reverse pressure, drive the boundary. Retire
+//     compares the two sections' head sequence numbers.
 //
 //   - §3.6 pipeline changes: recoverBranch keeps CDF mode alive across
 //     mispredictions of branches fetched in CDF mode (correcting the

@@ -47,12 +47,11 @@ type entry struct {
 	inRS   bool
 
 	// Memory state.
-	addr       uint64
-	addrReady  bool
-	issuedMem  bool
-	llcMiss    bool
-	forwarded  bool
-	inLQ, inSQ bool
+	addr      uint64
+	addrReady bool
+	issuedMem bool
+	llcMiss   bool
+	forwarded bool
 
 	// Branch state.
 	pred       branch.Prediction

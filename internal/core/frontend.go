@@ -448,10 +448,10 @@ func (c *Core) enterCDF(seq uint64) {
 	if c.tracer != nil {
 		c.traceMode(fmt.Sprintf("enter CDF mode at seq %d", seq))
 	}
-	if c.robPart != nil {
-		c.robPart.SetDesired(c.cfg.ROBSize * 3 / 4)
-		c.lqPart.SetDesired(c.cfg.LQSize * 3 / 4)
-		c.sqPart.SetDesired(c.cfg.SQSize * 3 / 4)
+	for _, p := range c.partitions() {
+		if p != nil {
+			p.SetDesired(p.Total * 3 / 4)
+		}
 	}
 }
 
@@ -462,10 +462,10 @@ func (c *Core) beginCDFExit() {
 		return
 	}
 	c.cdfExitPending = true
-	if c.robPart != nil {
-		c.robPart.SetDesired(0)
-		c.lqPart.SetDesired(0)
-		c.sqPart.SetDesired(0)
+	for _, p := range c.partitions() {
+		if p != nil {
+			p.SetDesired(0)
+		}
 	}
 }
 

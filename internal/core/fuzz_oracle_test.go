@@ -33,6 +33,7 @@ func FuzzCore(f *testing.F) {
 	f.Add(uint64(2), byte(1))
 	f.Add(uint64(3), byte(2))
 	f.Add(uint64(5), byte(3))
+	f.Add(uint64(8), byte(16|1)) // CDF with the partitions frozen
 	f.Fuzz(func(t *testing.T, seed uint64, modeByte byte) {
 		mode := core.Mode(modeByte % 4)
 		p, m := genCase(seed)
@@ -44,7 +45,9 @@ func FuzzCore(f *testing.F) {
 		cfg.ParanoidEvery = 97
 		// High bits of the mode byte exercise the instruction-supply
 		// subsystem: bit 2 enables the timed frontend, bit 3 layers
-		// FDIP + shadow decoding on top.
+		// FDIP + shadow decoding on top. Bit 4 freezes the CDF partitions
+		// at their initial split (the static-partition ablation).
+		cfg.CDF.DisableDynamicPartition = modeByte&16 != 0
 		if modeByte&4 != 0 {
 			cfg.Front = front.Default()
 			if modeByte&8 != 0 {

@@ -9,7 +9,8 @@ import "fmt"
 // Invariants checked:
 //
 //  1. ROB sections, LQ, and SQ are in program order.
-//  2. Occupancies respect capacities and partition caps.
+//  2. Occupancies respect capacities, and each critical section its
+//     partition cap.
 //  3. Per-section criticality: robCrit holds only critical entries,
 //     robNon only non-critical ones; lqCrit/sqCrit counters match, and
 //     rsLen/rsCrit and the Fig. 1 counters match a recount of the ROB.
@@ -127,10 +128,18 @@ func (c *Core) CheckInvariants() error {
 		}
 	}
 
-	// Partition caps (when active).
-	if c.robPart != nil {
-		if c.robPart.CritCap+c.robPart.NonCritCap() != c.cfg.ROBSize {
-			return fmt.Errorf("ROB partition sections do not sum to capacity")
+	// Partition caps (when active): the sections span the structure, and
+	// the critical section stays within its cap.
+	for i, p := range c.partitions() {
+		if p == nil {
+			continue
+		}
+		size, _, crit := c.occupancy(i)
+		if p.CritCap+p.NonCritCap() != size {
+			return fmt.Errorf("%s partition sections do not sum to capacity", partNames[i])
+		}
+		if crit > p.CritCap {
+			return fmt.Errorf("%s critical section holds %d > cap %d", partNames[i], crit, p.CritCap)
 		}
 	}
 	return nil

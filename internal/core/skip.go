@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cdf/internal/cdf"
 	"cdf/internal/stats"
 )
 
@@ -163,12 +162,6 @@ func (c *Core) skipEligible() bool {
 		(c.runahead == nil || c.runahead.Idle())
 }
 
-// partitions returns the ROB, LQ and SQ partitions (all nil outside the CDF
-// modes).
-func (c *Core) partitions() [3]*cdf.Partition {
-	return [3]*cdf.Partition{c.robPart, c.lqPart, c.sqPart}
-}
-
 // resetStallLogs empties the partitions' NoteStall logs before an observed
 // cycle.
 func (c *Core) resetStallLogs() {
@@ -185,19 +178,19 @@ func (c *Core) resetStallLogs() {
 func (c *Core) nextEvent() (uint64, bool) {
 	const none = ^uint64(0)
 	ev := uint64(none)
-	min := func(v uint64) {
+	bound := func(v uint64) {
 		if v < ev {
 			ev = v
 		}
 	}
 	// Execution completions: complete() acts at doneAt.
 	for _, e := range c.exec {
-		min(e.doneAt)
+		bound(e.doneAt)
 	}
 	// Outstanding LLC misses: the per-cycle MLP sample changes when one
 	// drains (OutstandingLLCMisses prunes at done <= now).
 	if d, ok := c.hier.NextOutstandingDone(); ok {
-		min(d)
+		bound(d)
 	}
 	// Frontend timers. trySkip runs post-increment, so c.now is the next
 	// cycle to execute: an event exactly at c.now must force target==now
@@ -205,26 +198,26 @@ func (c *Core) nextEvent() (uint64, bool) {
 	// strictly below c.now expired before the observed idle cycle and
 	// contribute no event (the observed cycle already saw them expired).
 	if c.fetchStallUntil >= c.now {
-		min(c.fetchStallUntil)
+		bound(c.fetchStallUntil)
 	}
 	if c.cdfOn && !c.cdfExitPending && c.critStallUntil >= c.now {
-		min(c.critStallUntil)
+		bound(c.critStallUntil)
 	}
 	// Criticality machinery walk completion (gates CDF-mode entry).
 	if c.machBusy >= c.now {
-		min(c.machBusy)
+		bound(c.machBusy)
 	}
 	// Decode-pipe visibility: rename sees the queue heads at their .at. A
 	// head already visible before the observed cycle (at < c.now) was
 	// provably blocked by window occupancy, which only work can change.
 	if !c.fetchQ.empty() {
 		if at := c.fetchQ.items[0].at; at >= c.now {
-			min(at)
+			bound(at)
 		}
 	}
 	if !c.critQ.empty() {
 		if at := c.critQ.items[0].at; at >= c.now {
-			min(at)
+			bound(at)
 		}
 	}
 	// FDIP issue blocked on full L1I MSHRs: a non-empty FTQ in an idle
@@ -239,7 +232,7 @@ func (c *Core) nextEvent() (uint64, bool) {
 		if !ok {
 			return 0, false
 		}
-		min(maxU(d, c.now))
+		bound(max(d, c.now))
 	}
 	if ev == none {
 		return 0, false
@@ -252,7 +245,7 @@ func (c *Core) nextEvent() (uint64, bool) {
 		wd := c.wdCycle + c.cfg.WatchdogCycles - 1
 		if h := c.oldestROBHead(); h != nil && h.op.IsLoad() &&
 			h.state == stateExecuting && h.doneAt > c.now {
-			wd = maxU(wd, h.doneAt-1)
+			wd = max(wd, h.doneAt-1)
 		}
 		if wd < ev {
 			ev = wd
@@ -383,7 +376,7 @@ func (c *Core) verifySkipPrediction() {
 		}
 		var got partStalls
 		if got.crit, got.non = part.Stalls(); got != p.stalls[i] {
-			fmt.Fprintf(&diff, "\n %s_partition_stalls: pred %+v got %+v", [3]string{"rob", "lq", "sq"}[i], p.stalls[i], got)
+			fmt.Fprintf(&diff, "\n %s_partition_stalls: pred %+v got %+v", strings.ToLower(partNames[i]), p.stalls[i], got)
 		}
 	}
 	if diff.Len() > 0 {

@@ -158,11 +158,10 @@ func (c *Core) Snapshot() Snapshot {
 			DoneAt:    h.doneAt,
 		}
 	}
-	if c.robPart != nil {
-		s.Partitions = append(s.Partitions,
-			PartitionSnap{"ROB", c.robPart.CritCap, c.robPart.Total},
-			PartitionSnap{"LQ", c.lqPart.CritCap, c.lqPart.Total},
-			PartitionSnap{"SQ", c.sqPart.CritCap, c.sqPart.Total})
+	for i, p := range c.partitions() {
+		if p != nil {
+			s.Partitions = append(s.Partitions, PartitionSnap{partNames[i], p.CritCap, p.Total})
+		}
 	}
 	return s
 }

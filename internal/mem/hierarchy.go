@@ -169,7 +169,7 @@ func (h *Hierarchy) Load(addr, now uint64, wrongPath bool) AccessResult {
 			// Late-prefetch style merge: correct but not timely.
 			h.Pref.OnPrefetchLate()
 		}
-		return AccessResult{Done: maxU(ready, now+uint64(h.cfg.L1DLatency)), LLCMiss: merged, L1DMiss: true}
+		return AccessResult{Done: max(ready, now+uint64(h.cfg.L1DLatency)), LLCMiss: merged, L1DMiss: true}
 	}
 
 	if hit, _ := h.L1D.Lookup(line); hit {
@@ -208,7 +208,7 @@ func (h *Hierarchy) Store(addr, now uint64) AccessResult {
 
 	if ready, ok := h.L1D.Pending(line, now); ok {
 		h.L1D.MarkDirty(line) // will be dirty once filled; Insert merged it
-		return AccessResult{Done: maxU(ready, now+uint64(h.cfg.L1DLatency)), LLCMiss: h.llcMissHas(line), L1DMiss: true}
+		return AccessResult{Done: max(ready, now+uint64(h.cfg.L1DLatency)), LLCMiss: h.llcMissHas(line), L1DMiss: true}
 	}
 	if hit, _ := h.L1D.Lookup(line); hit {
 		h.St.L1DHits++
@@ -285,7 +285,7 @@ func (h *Hierarchy) L1INextPendingReady() (uint64, bool) {
 // the line's consumed prefetch marks (see FetchInst).
 func (h *Hierarchy) fetchInstLine(line, now uint64) (done uint64, useful, late bool) {
 	if ready, pref, ok := h.L1I.PendingPref(line, now); ok {
-		return maxU(ready, now+uint64(h.cfg.L1ILatency)), false, pref
+		return max(ready, now+uint64(h.cfg.L1ILatency)), false, pref
 	}
 	if hit, wasPref := h.L1I.Lookup(line); hit {
 		h.St.L1IHits++
@@ -303,7 +303,7 @@ func (h *Hierarchy) fetchInstLine(line, now uint64) (done uint64, useful, late b
 // data-ready cycle and whether DRAM was accessed.
 func (h *Hierarchy) accessLLC(line, at uint64, inst, wrongPath bool) (done uint64, llcMiss bool) {
 	if ready, ok := h.LLC.Pending(line, at); ok {
-		return maxU(ready, at+uint64(h.cfg.LLCLatency)), true
+		return max(ready, at+uint64(h.cfg.LLCLatency)), true
 	}
 	if hit, wasPref := h.LLC.Lookup(line); hit {
 		if !wrongPath {
@@ -415,11 +415,4 @@ func (h *Hierarchy) NextOutstandingDone() (uint64, bool) {
 		}
 	}
 	return min, true
-}
-
-func maxU(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

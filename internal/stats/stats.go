@@ -70,7 +70,6 @@ type Stats struct {
 	WritebacksLLC    uint64 `stat:"writebacks_llc"`
 	PrefetchesIssued uint64 `stat:"prefetches_issued"`
 	PrefetchesUseful uint64 `stat:"prefetches_useful"`
-	PrefetchesLate   uint64 `stat:"prefetches_late"`
 	WrongPathLoads   uint64 `stat:"wrong_path_loads"`
 
 	// MLP: sum of outstanding LLC-missing demand loads over cycles where at
