@@ -33,14 +33,15 @@ func trainTage(t *testing.T, pc uint64, seq func(i int) bool, n int) float64 {
 	correct, counted := 0, 0
 	for i := 0; i < n; i++ {
 		taken := seq(i)
-		info := tg.Predict(pc)
+		var info PredInfo
+		tg.Predict(pc, &info)
 		if i >= n/2 {
 			counted++
 			if info.Pred == taken {
 				correct++
 			}
 		}
-		tg.Update(pc, taken, info)
+		tg.Update(pc, taken, &info)
 	}
 	return float64(correct) / float64(counted)
 }
@@ -87,14 +88,15 @@ func TestTageSeparatesBranches(t *testing.T) {
 	correct, total := 0, 0
 	for i := 0; i < 4000; i++ {
 		for pc, taken := range map[uint64]bool{0x400100: true, 0x400900: false} {
-			info := tg.Predict(pc)
+			var info PredInfo
+			tg.Predict(pc, &info)
 			if i > 1000 {
 				total++
 				if info.Pred == taken {
 					correct++
 				}
 			}
-			tg.Update(pc, taken, info)
+			tg.Update(pc, taken, &info)
 		}
 	}
 	if acc := float64(correct) / float64(total); acc < 0.98 {
@@ -168,13 +170,15 @@ func TestPredictorCondFlow(t *testing.T) {
 	pc := uint64(0x400100)
 	// Train an always-taken conditional with target 0x5000.
 	for i := 0; i < 500; i++ {
-		pr := p.Predict(isa.OpBeq, pc, 0)
+		var pr Prediction
+		p.Predict(isa.OpBeq, pc, 0, &pr)
 		if !pr.Cond {
 			t.Fatal("conditional branch must set Cond")
 		}
-		p.Update(isa.OpBeq, pc, true, 0x5000, pr)
+		p.Update(isa.OpBeq, pc, true, 0x5000, &pr)
 	}
-	pr := p.Predict(isa.OpBeq, pc, 0)
+	var pr Prediction
+	p.Predict(isa.OpBeq, pc, 0, &pr)
 	if !pr.Taken {
 		t.Fatal("should predict taken after training")
 	}
@@ -189,11 +193,12 @@ func TestPredictorCondFlow(t *testing.T) {
 func TestPredictorCallRet(t *testing.T) {
 	p := NewPredictor()
 	// A call pushes its continuation; the matching return predicts it.
-	prCall := p.Predict(isa.OpCall, 0x400100, 0x400108)
+	var prCall, prRet Prediction
+	p.Predict(isa.OpCall, 0x400100, 0x400108, &prCall)
 	if !prCall.Taken {
 		t.Fatal("call must be predicted taken")
 	}
-	prRet := p.Predict(isa.OpRet, 0x400200, 0)
+	p.Predict(isa.OpRet, 0x400200, 0, &prRet)
 	if !prRet.TargetHit || prRet.Target != 0x400108 {
 		t.Fatalf("return target = (%#x, %v), want 0x400108", prRet.Target, prRet.TargetHit)
 	}
@@ -201,14 +206,33 @@ func TestPredictorCallRet(t *testing.T) {
 
 func TestPredictorJmpUsesBTB(t *testing.T) {
 	p := NewPredictor()
-	pr := p.Predict(isa.OpJmp, 0x400100, 0)
+	var pr Prediction
+	p.Predict(isa.OpJmp, 0x400100, 0, &pr)
 	if pr.TargetHit {
 		t.Fatal("cold jump should miss the BTB")
 	}
-	p.Update(isa.OpJmp, 0x400100, true, 0x7000, pr)
-	pr = p.Predict(isa.OpJmp, 0x400100, 0)
+	p.Update(isa.OpJmp, 0x400100, true, 0x7000, &pr)
+	p.Predict(isa.OpJmp, 0x400100, 0, &pr)
 	if !pr.TargetHit || pr.Target != 0x7000 {
 		t.Fatalf("trained jump target = (%#x, %v)", pr.Target, pr.TargetHit)
+	}
+}
+
+// TestNewLoopPredictorGeometry: the set index is a mask, so entries must
+// form a power-of-two number of full sets.
+func TestNewLoopPredictorGeometry(t *testing.T) {
+	for _, g := range []struct {
+		entries, ways int
+		ok            bool
+	}{{64, 4, true}, {4, 4, true}, {48, 4, false}, {64, 3, false}, {64, 0, false}} {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			NewLoopPredictor(g.entries, g.ways)
+			return false
+		}()
+		if panicked == g.ok {
+			t.Errorf("%d entries, %d ways: panicked=%v, want %v", g.entries, g.ways, panicked, !g.ok)
+		}
 	}
 }
 
@@ -294,11 +318,12 @@ func TestPredictorLongLoopExitAccuracy(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		for i := 0; i < 200; i++ {
 			taken := i < 199
-			pr := p.Predict(isa.OpBne, pc, 0)
+			var pr Prediction
+			p.Predict(isa.OpBne, pc, 0, &pr)
 			if iter > 20 && !taken && pr.Taken {
 				exitWrong++
 			}
-			p.Update(isa.OpBne, pc, taken, 0x400500, pr)
+			p.Update(isa.OpBne, pc, taken, 0x400500, &pr)
 		}
 	}
 	if exitWrong > 3 {
@@ -327,8 +352,9 @@ func TestTageFoldedIncremental(t *testing.T) {
 			rng ^= rng >> 7
 			rng ^= rng << 17
 			pc := (rng % 97) * 4
-			info := tg.Predict(pc)
-			tg.Update(pc, rng&0x10000 != 0, info)
+			var info PredInfo
+			tg.Predict(pc, &info)
+			tg.Update(pc, rng&0x10000 != 0, &info)
 			for i := 0; i < cfg.NumTables; i++ {
 				hl := tg.histLens[i]
 				if got, want := tg.foldIdx[i], tg.foldHistory(hl, int(cfg.TableBits)); got != want {

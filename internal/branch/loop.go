@@ -1,5 +1,7 @@
 package branch
 
+import "fmt"
+
 // LoopPredictor is the "L" component of TAGE-SC-L (Seznec): it identifies
 // branches that behave as fixed-trip-count loops (N-1 taken, then one
 // not-taken, repeating) and predicts the exit exactly. When a loop entry is
@@ -7,6 +9,7 @@ package branch
 type LoopPredictor struct {
 	entries []loopEntry
 	ways    int
+	setMask uint64 // sets-1: the set index is pc>>3's low bits
 	clock   uint64
 
 	Overrides uint64 // predictions taken from the loop predictor
@@ -32,14 +35,21 @@ const (
 	loopMinTrip   = 4
 )
 
-// NewLoopPredictor builds a loop predictor with the given entry count.
+// NewLoopPredictor builds a loop predictor with the given entry count,
+// which must divide into a power-of-two number of sets of ways entries.
 func NewLoopPredictor(entries, ways int) *LoopPredictor {
-	return &LoopPredictor{entries: make([]loopEntry, entries), ways: ways}
+	sets := 0
+	if ways > 0 {
+		sets = entries / ways
+	}
+	if sets <= 0 || sets*ways != entries || sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("branch: %d loop entries do not form a power-of-two number of %d-way sets", entries, ways))
+	}
+	return &LoopPredictor{entries: make([]loopEntry, entries), ways: ways, setMask: uint64(sets - 1)}
 }
 
 func (l *LoopPredictor) set(pc uint64) []loopEntry {
-	sets := len(l.entries) / l.ways
-	s := int((pc >> 3) % uint64(sets))
+	s := int((pc >> 3) & l.setMask)
 	return l.entries[s*l.ways : (s+1)*l.ways]
 }
 

@@ -158,14 +158,17 @@ func NewPredictor() *Predictor {
 	}
 }
 
-// Predict produces a direction+target prediction for the branch uop with
-// opcode op at pc. For calls, retPC is the return continuation to push.
-func (p *Predictor) Predict(op isa.Op, pc, retPC uint64) Prediction {
-	var pr Prediction
+// Predict writes into pr a direction+target prediction for the branch uop
+// with opcode op at pc. For calls, retPC is the return continuation to
+// push. Every field is overwritten (Info only for conditional branches, the
+// one case that reads it), so callers reuse one Prediction rather than copy
+// its TAGE lookup state around.
+func (p *Predictor) Predict(op isa.Op, pc, retPC uint64, pr *Prediction) {
+	pr.Taken, pr.Target, pr.TargetHit, pr.Cond = false, 0, false, false
 	switch {
 	case op.IsCondBranch():
 		pr.Cond = true
-		pr.Info = p.Tage.Predict(pc)
+		p.Tage.Predict(pc, &pr.Info)
 		pr.Taken = pr.Info.Pred
 		// A confident loop entry overrides TAGE (the "L" of TAGE-SC-L).
 		if lp, ok := p.Loop.Predict(pc); ok {
@@ -188,17 +191,17 @@ func (p *Predictor) Predict(op isa.Op, pc, retPC uint64) Prediction {
 		pr.Taken = true
 		pr.Target, pr.TargetHit = p.RAS.Pop()
 	}
-	return pr
 }
 
 // Update trains the predictor with a resolved branch: actual direction and
-// target. Must be called once per predicted branch in fetch order.
-func (p *Predictor) Update(op isa.Op, pc uint64, taken bool, target uint64, pr Prediction) {
+// target. Must be called once per predicted branch in fetch order, with the
+// Prediction its Predict call wrote.
+func (p *Predictor) Update(op isa.Op, pc uint64, taken bool, target uint64, pr *Prediction) {
 	if pr.Cond {
 		if pr.Taken != taken {
 			p.CondWrong++
 		}
-		p.Tage.Update(pc, taken, pr.Info)
+		p.Tage.Update(pc, taken, &pr.Info)
 		p.Loop.Update(pc, taken)
 	}
 	if taken && op != isa.OpRet {

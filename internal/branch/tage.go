@@ -80,6 +80,12 @@ type Tage struct {
 	foldTag1 [maxTageTables]uint64
 	foldTag2 [maxTageTables]uint64
 
+	// hist holds each table's history constants, so a history shift does
+	// no division: where its oldest bit sits in ghist, and each fold's
+	// width, mask and evicted-bit position.
+	hist        [maxTageTables]tableHist
+	bimodalMask uint64
+
 	// Counters.
 	Lookups     uint64
 	ProviderHit uint64
@@ -110,6 +116,16 @@ func NewTage(cfg TageConfig) *Tage {
 		}
 		l *= ratio
 	}
+	for i, hl := range t.histLens {
+		t.hist[i] = tableHist{
+			evictWord:  (hl - 1) / 64,
+			evictShift: uint((hl - 1) % 64),
+			idx:        newFold(hl, int(cfg.TableBits)),
+			tag1:       newFold(hl, int(cfg.TagBits)),
+			tag2:       newFold(hl, int(cfg.TagBits)-1),
+		}
+	}
+	t.bimodalMask = maskBits(int(cfg.BimodalBits))
 	t.histBits = t.histLens[cfg.NumTables-1]
 	t.ghist = make([]uint64, (t.histBits+63)/64+1)
 	for i := range t.tables {
@@ -123,17 +139,37 @@ func pow(x, y float64) float64 { return math.Pow(x, y) }
 // HistoryLengths returns the per-table history lengths (for tests).
 func (t *Tage) HistoryLengths() []int { return append([]int(nil), t.histLens...) }
 
+// tableHist is one tagged table's history constants: the ghist word and
+// bit of its oldest history bit (position histLen-1), and its index fold
+// and two tag folds.
+type tableHist struct {
+	evictWord       int
+	evictShift      uint
+	idx, tag1, tag2 fold
+}
+
+// fold is one folded-history register's width, mask, and the chunk
+// position histLen%bits that the evicted bit would shift into.
+type fold struct {
+	bits, off uint
+	mask      uint64
+}
+
+func newFold(histLen, bits int) fold {
+	return fold{bits: uint(bits), off: uint(histLen % bits), mask: maskBits(bits)}
+}
+
 // foldStep advances one folded-history register by a single history shift:
 // b is the incoming outcome bit, evict the outgoing bit (history position
 // histLen-1 before the shift). The recurrence shifts every fold chunk left
 // by one; the XOR of the chunk carry bits reappears at position 0 via the
 // x>>bits term, and the evicted bit — which the shift would move to chunk
 // position histLen%bits, outside the history window — is cancelled.
-func foldStep(f, b, evict uint64, histLen, bits int) uint64 {
+func foldStep(f, b, evict uint64, fd *fold) uint64 {
 	x := (f << 1) | b
-	x ^= evict << uint(histLen%bits)
-	x ^= x >> uint(bits)
-	return x & maskBits(bits)
+	x ^= evict << fd.off
+	x ^= x >> fd.bits
+	return x & fd.mask
 }
 
 // foldHistory folds the low histLen bits of global history into bits bits.
@@ -171,28 +207,27 @@ func maskBits(n int) uint64 {
 func (t *Tage) index(pc uint64, table int) uint32 {
 	h := t.foldIdx[table]
 	v := (pc >> 2) ^ (pc >> (uint(t.cfg.TableBits) + 2)) ^ h ^ uint64(table)*0x9E3779B9
-	return uint32(v & maskBits(int(t.cfg.TableBits)))
+	return uint32(v & t.hist[table].idx.mask)
 }
 
 func (t *Tage) tag(pc uint64, table int) uint32 {
 	h := t.foldTag1[table]
 	h2 := t.foldTag2[table]
 	v := (pc >> 2) ^ h ^ (h2 << 1)
-	return uint32(v & maskBits(int(t.cfg.TagBits)))
+	return uint32(v & t.hist[table].tag1.mask)
 }
 
 func (t *Tage) bimodalIndex(pc uint64) uint32 {
-	return uint32((pc >> 2) & maskBits(int(t.cfg.BimodalBits)))
+	return uint32((pc >> 2) & t.bimodalMask)
 }
 
-// Predict returns the predicted direction for the conditional branch at pc
-// along with the state needed by Update.
-func (t *Tage) Predict(pc uint64) PredInfo {
+// Predict writes into info the predicted direction for the conditional
+// branch at pc along with the state needed by Update. Every field Update
+// reads is overwritten, so info may be reused across calls.
+func (t *Tage) Predict(pc uint64, info *PredInfo) {
 	t.Lookups++
-	info := PredInfo{
-		provider:  -1,
-		bimodalIx: t.bimodalIndex(pc),
-	}
+	info.provider = -1
+	info.bimodalIx = t.bimodalIndex(pc)
 	bim := t.bimodal[info.bimodalIx] >= 0
 	pred, alt := bim, bim
 	for i := 0; i < t.cfg.NumTables; i++ {
@@ -226,13 +261,12 @@ func (t *Tage) Predict(pc uint64) PredInfo {
 	}
 	info.altPred = alt
 	info.Pred = pred
-	return info
 }
 
 // Update trains the predictor with the resolved outcome and then shifts the
 // global history. Callers must invoke it exactly once per predicted branch,
 // in program order.
-func (t *Tage) Update(pc uint64, taken bool, info PredInfo) {
+func (t *Tage) Update(pc uint64, taken bool, info *PredInfo) {
 	t.updates++
 	correct := info.Pred == taken
 
@@ -305,11 +339,11 @@ func (t *Tage) shiftHistory(taken bool) {
 		b = 1
 	}
 	for i := 0; i < t.cfg.NumTables; i++ {
-		hl := t.histLens[i]
-		evict := t.histBitsAt(hl-1, 1)
-		t.foldIdx[i] = foldStep(t.foldIdx[i], b, evict, hl, int(t.cfg.TableBits))
-		t.foldTag1[i] = foldStep(t.foldTag1[i], b, evict, hl, int(t.cfg.TagBits))
-		t.foldTag2[i] = foldStep(t.foldTag2[i], b, evict, hl, int(t.cfg.TagBits)-1)
+		h := &t.hist[i]
+		evict := t.ghist[h.evictWord] >> h.evictShift & 1
+		t.foldIdx[i] = foldStep(t.foldIdx[i], b, evict, &h.idx)
+		t.foldTag1[i] = foldStep(t.foldTag1[i], b, evict, &h.tag1)
+		t.foldTag2[i] = foldStep(t.foldTag2[i], b, evict, &h.tag2)
 	}
 	carry := b
 	for i := range t.ghist {

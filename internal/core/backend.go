@@ -31,6 +31,9 @@ const (
 
 var partNames = [3]string{"ROB", "LQ", "SQ"}
 
+// fullRS indexes the RS in Core.fullAt, after the partitioned structures.
+const fullRS = partSQ + 1
+
 // partitions returns the ROB, LQ and SQ partitions (all nil outside the CDF
 // modes).
 func (c *Core) partitions() [3]*cdf.Partition {
@@ -93,8 +96,8 @@ func stalledOnLatency(e *entry) bool {
 // stream's split is always in force; the regular stream's only while a CDF
 // episode is live or still draining. The RS and PRF cap critical occupancy
 // in proportion to the ROB split. The first full ROB, RS, LQ or SQ is
-// charged its full-cycle counter (see sectionFull); a full PRF or CMQ is
-// not.
+// charged its full-cycle counter (see sectionFull and chargeFull); a full
+// PRF or CMQ is not.
 func (c *Core) hasRoom(e *entry) bool {
 	crit := e.critical
 	split := crit || c.robPart != nil && (c.cdfOn || c.robCrit.len() > 0)
@@ -102,7 +105,7 @@ func (c *Core) hasRoom(e *entry) bool {
 		return false
 	}
 	if c.rsLen >= c.cfg.RSSize || crit && c.rsCrit >= c.critRSLimit() {
-		c.st.RSFullCycles++
+		c.chargeFull(fullRS, &c.st.RSFullCycles)
 		return false
 	}
 	if e.op.IsLoad() && c.sectionFull(partLQ, crit, split, &c.st.LQFullCycles) ||
@@ -121,17 +124,28 @@ func (c *Core) hasRoom(e *entry) bool {
 // force, the section is at its cap. A full section counts the cycle in
 // *counter and, with the split in force, charges the partition a stall of
 // the section — pressure to grow it — when its oldest entry still waits on
-// a result.
+// a result. The partition is charged on every call, since each blocked
+// stream is pressure of its own; the counter once per cycle.
 func (c *Core) sectionFull(i int, critical, split bool, counter *uint64) bool {
 	p := c.partitions()[i]
 	if size, used, crit := c.occupancy(i); used < size && !(split && atCap(p, used, crit, critical)) {
 		return false
 	}
-	*counter++
+	c.chargeFull(i, counter)
 	if split && stalledOnLatency(c.sectionHead(i, critical)) {
 		p.NoteStall(critical)
 	}
 	return true
+}
+
+// chargeFull counts the current cycle in structure i's full-cycle counter,
+// once however many rename stages find the structure full in it: during a
+// CDF episode both stages can block on one structure in the same cycle.
+func (c *Core) chargeFull(i int, counter *uint64) {
+	if c.fullAt[i] != c.now+1 {
+		c.fullAt[i] = c.now + 1
+		*counter++
+	}
 }
 
 // critRSLimit returns the cap on critical uops in the RS; it follows the

@@ -36,6 +36,14 @@ type Core struct {
 	prg  *prog.Program
 	strm *stream
 
+	// fullAt[i] is one more than the last cycle charged to the full-cycle
+	// counter of structure i (partROB, partLQ, partSQ, fullRS).
+	fullAt [fullRS + 1]uint64
+
+	// pr is the fetch stages' scratch prediction: each branch's Predict
+	// and Update share it by pointer and nothing keeps it afterwards.
+	pr branch.Prediction
+
 	blockByPC map[uint64]int // block start PC -> block ID
 
 	rf *regFile
@@ -228,7 +236,7 @@ func NewAt(cfg Config, p *prog.Program, em *emu.Emulator, w *Warmer) (*Core, err
 		cfg:  cfg,
 		st:   st,
 		hier: w.hier,
-		pred: w.pred,
+		pred: w.pw.pred,
 		prg:  p,
 		strm: newStream(em),
 		rf:   newRegFile(cfg.PRFSize),

@@ -57,6 +57,20 @@ func TestCounterTableGolden(t *testing.T) {
 		if r.frozen {
 			name += "/frozen"
 		}
+		// A full-cycle counter counts cycles, however many rename stages
+		// find the structure full in one.
+		st := c.Stats()
+		for _, f := range []struct {
+			name string
+			n    uint64
+		}{
+			{"rob_full_cycles", st.ROBFullCycles}, {"rs_full_cycles", st.RSFullCycles},
+			{"lq_full_cycles", st.LQFullCycles}, {"sq_full_cycles", st.SQFullCycles},
+		} {
+			if f.n > st.Cycles {
+				t.Errorf("%s: %s %d exceeds cycles %d", name, f.name, f.n, st.Cycles)
+			}
+		}
 		for _, row := range c.Stats().Table() {
 			fmt.Fprintf(&sb, "%s %s %s\n", name, row.Name, strconv.FormatFloat(row.Value, 'g', -1, 64))
 		}

@@ -170,7 +170,7 @@ func TestWrongPrediction(t *testing.T) {
 		{"BTB miss, right direction", branch.Prediction{Taken: true}, false},
 		{"correct", branch.Prediction{Taken: true, TargetHit: true, Target: 0x200}, false},
 	} {
-		if got := wrongPrediction(c.pr, taken); got != c.want {
+		if got := wrongPrediction(&c.pr, taken); got != c.want {
 			t.Errorf("%s: wrongPrediction=%v, want %v", c.name, got, c.want)
 		}
 	}

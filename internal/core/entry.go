@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"cdf/internal/branch"
 	"cdf/internal/emu"
 	"cdf/internal/isa"
 )
@@ -54,7 +53,6 @@ type entry struct {
 	forwarded bool
 
 	// Branch state.
-	pred       branch.Prediction
 	mispredict bool // oracle: fetched with a wrong prediction
 	resolved   bool
 

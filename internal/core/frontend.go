@@ -37,7 +37,7 @@ func retContinuationPC(p *prog.Program, d *emu.DynUop) uint64 {
 // wrongPrediction reports whether prediction pr of branch d is a
 // mispredict: a wrong direction, or a wrong target from a BTB hit. A BTB
 // miss with the right direction is a re-steer, not a mispredict.
-func wrongPrediction(pr branch.Prediction, d *emu.DynUop) bool {
+func wrongPrediction(pr *branch.Prediction, d *emu.DynUop) bool {
 	return pr.Taken != d.Taken || d.Taken && pr.TargetHit && pr.Target != d.NextPC
 }
 
@@ -173,8 +173,8 @@ func (c *Core) regFetch() {
 func (c *Core) predictAndCheck(e *entry, rec *streamRec) (mispredicted bool) {
 	dyn := &rec.dyn
 	op := dyn.U.Op
-	pr := c.pred.Predict(op, dyn.PC, retContinuationPC(c.prg, dyn))
-	e.pred = pr
+	pr := &c.pr
+	c.pred.Predict(op, dyn.PC, retContinuationPC(c.prg, dyn), pr)
 	if pr.Cond {
 		c.st.CondBranches++
 	}
@@ -190,7 +190,6 @@ func (c *Core) predictAndCheck(e *entry, rec *streamRec) (mispredicted bool) {
 				// A shadow branch decoded from an already-fetched line
 				// supplies the target: no re-steer bubble.
 				c.st.ShadowBTBHits++
-				e.pred.Target, e.pred.TargetHit = t, true
 				return false
 			}
 		}
@@ -403,7 +402,8 @@ func (c *Core) critFetch() {
 		return
 	}
 	if last.U.Op.IsBranch() {
-		pr := c.pred.Predict(last.U.Op, last.PC, retContinuationPC(c.prg, last))
+		pr := &c.pr
+		c.pred.Predict(last.U.Op, last.PC, retContinuationPC(c.prg, last), pr)
 		if pr.Cond {
 			c.st.CondBranches++
 		}
@@ -417,11 +417,8 @@ func (c *Core) critFetch() {
 		}
 		c.dbq.push(dbqEntry{seq: lastPos, taken: pr.Taken, target: target, wrong: wrong})
 
-		if ce := lastRec.critEntry; lastRec.fetchedCritical && lastRec.epoch == c.cdfEpoch && ce != nil && ce.seq == lastPos {
-			ce.pred = pr
-			if wrong {
-				ce.mispredict = true
-			}
+		if ce := lastRec.critEntry; wrong && lastRec.fetchedCritical && lastRec.epoch == c.cdfEpoch && ce != nil && ce.seq == lastPos {
+			ce.mispredict = true
 		}
 		if wrong {
 			// Critical fetch proceeds down the wrong path (modelled) until

@@ -35,7 +35,7 @@ type Warmer struct {
 	prg *prog.Program
 
 	hier *mem.Hierarchy
-	pred *branch.Predictor
+	pw   *PredictorWarmer // the branch predictor and its warming
 
 	crit *criticality
 
@@ -75,7 +75,7 @@ func NewWarmer(cfg Config, p *prog.Program) (*Warmer, error) {
 		cfg:    cfg,
 		prg:    p,
 		hier:   mem.NewHierarchy(cfg.Mem, &stats.Stats{}),
-		pred:   branch.NewPredictor(),
+		pw:     &PredictorWarmer{pred: branch.NewPredictor(), prg: p},
 		crit:   newCriticality(cfg, p),
 		wp:     wpLines{rng: cfg.Seed*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D},
 		wpRate: float64(wpMissBudgetPerEpisode),
@@ -111,11 +111,50 @@ func (w *Warmer) compatible(cfg Config, p *prog.Program) error {
 	return nil
 }
 
-// Observe trains every warm structure with one executed uop. The sampled
-// driver calls it for each master-emulator step during fast-forward (and
-// not during catch-up over a measured region, which the interval core has
-// already trained cycle-accurately).
+// Observe trains every warm structure with one executed uop: the
+// predictor half (PredictorWarmer.Observe) then the rest (ObserveMemCrit).
+// The sampled driver runs the two halves as the two stages of its
+// fast-forward pipeline instead, one per goroutine, which gives every
+// structure the same operation sequence because neither half reads what
+// the other writes; Observe is the serial composition for the benchmark
+// probe and the tests.
 func (w *Warmer) Observe(d *emu.DynUop) {
+	w.ObserveMemCrit(d, w.pw.Observe(d))
+}
+
+// PredictorWarmer is the branch-predictor half of a Warmer: the predictor
+// and the state its training needs, and nothing ObserveMemCrit touches.
+// It is allocated apart from the Warmer, so a goroutine running it writes
+// no cache line the other half writes: sharing one made each half stall on
+// the other's writes and undid most of the pipeline's gain.
+type PredictorWarmer struct {
+	pred *branch.Predictor
+	prg  *prog.Program
+	pr   branch.Prediction // Observe's scratch prediction
+}
+
+// PredictorWarmer returns w's predictor half.
+func (w *Warmer) PredictorWarmer() *PredictorWarmer { return w.pw }
+
+// Observe trains the branch predictor with one executed uop: predict then
+// train, judging the prediction the way the frontend does
+// (predictAndCheck). It reports whether the uop is a mispredicted branch,
+// the one bit of predictor state ObserveMemCrit needs.
+func (p *PredictorWarmer) Observe(d *emu.DynUop) (mispredict bool) {
+	op := d.U.Op
+	if !op.IsBranch() {
+		return false
+	}
+	p.pred.Predict(op, d.PC, retContinuationPC(p.prg, d), &p.pr)
+	p.pred.Update(op, d.PC, d.Taken, d.NextPC, &p.pr)
+	return wrongPrediction(&p.pr, d)
+}
+
+// ObserveMemCrit trains everything but the predictor with one executed
+// uop, given whether PredictorWarmer.Observe judged it mispredicted: the
+// I-side and D-side hierarchy, the wrong-path surrogate, PRE's load
+// marking and the criticality machinery, in that order.
+func (w *Warmer) ObserveMemCrit(d *emu.DynUop, mispredict bool) {
 	w.pos++
 
 	// I-side: like the fetch engine, one cache touch per distinct line.
@@ -141,14 +180,6 @@ func (w *Warmer) Observe(d *emu.DynUop) {
 		w.hier.WarmStore(d.Addr)
 	}
 
-	// Branch predictor: predict then train, judging the prediction the way
-	// the frontend does (predictAndCheck).
-	mispredict := false
-	if op.IsBranch() {
-		pr := w.pred.Predict(op, d.PC, retContinuationPC(w.prg, d))
-		w.pred.Update(op, d.PC, d.Taken, d.NextPC, pr)
-		mispredict = wrongPrediction(pr, d)
-	}
 	if mispredict {
 		w.warmWrongPath()
 	}

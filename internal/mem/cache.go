@@ -6,6 +6,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -23,7 +24,8 @@ type Cache struct {
 	Name      string
 	sets      int
 	ways      int
-	lineBytes uint64
+	lineShift uint   // log2 of the line size
+	setMask   uint64 // sets-1: the set index is the line address's low bits
 	hitLat    int
 
 	lines    []cacheLine // sets*ways, row-major by set
@@ -50,20 +52,22 @@ type mshr struct {
 }
 
 // NewCache builds a cache of the given total size. sizeBytes must be
-// divisible by ways*lineBytes.
+// divisible by ways*lineBytes, and both the line size and the resulting
+// set count must be powers of two, so indexing is a shift and a mask.
 func NewCache(name string, sizeBytes, ways int, lineBytes uint64, hitLat, mshrs int) *Cache {
-	if sizeBytes <= 0 || ways <= 0 || lineBytes == 0 {
-		panic(fmt.Sprintf("mem: invalid cache geometry %s size=%d ways=%d line=%d", name, sizeBytes, ways, lineBytes))
+	if sizeBytes <= 0 || ways <= 0 || lineBytes == 0 || lineBytes&(lineBytes-1) != 0 {
+		panic(fmt.Sprintf("mem: invalid cache geometry %s size=%d ways=%d line=%d (line size must be a power of two)", name, sizeBytes, ways, lineBytes))
 	}
 	sets := sizeBytes / (ways * int(lineBytes))
-	if sets == 0 || sizeBytes%(ways*int(lineBytes)) != 0 {
-		panic(fmt.Sprintf("mem: cache %s size %dB not divisible into %d-way sets of %dB lines", name, sizeBytes, ways, lineBytes))
+	if sets == 0 || sizeBytes%(ways*int(lineBytes)) != 0 || sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("mem: cache %s size %dB not divisible into a power-of-two number of %d-way sets of %dB lines", name, sizeBytes, ways, lineBytes))
 	}
 	return &Cache{
 		Name:      name,
 		sets:      sets,
 		ways:      ways,
-		lineBytes: lineBytes,
+		lineShift: uint(bits.TrailingZeros64(lineBytes)),
+		setMask:   uint64(sets - 1),
 		hitLat:    hitLat,
 		lines:     make([]cacheLine, sets*ways),
 		pending:   make([]mshr, 0, mshrs),
@@ -75,10 +79,10 @@ func NewCache(name string, sizeBytes, ways int, lineBytes uint64, hitLat, mshrs 
 func (c *Cache) Sets() int { return c.sets }
 
 // LineAddr converts a byte address to a line address.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr / c.lineBytes }
+func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 
 func (c *Cache) set(lineAddr uint64) []cacheLine {
-	s := int(lineAddr % uint64(c.sets))
+	s := int(lineAddr & c.setMask)
 	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 

@@ -32,6 +32,34 @@ func TestCacheBasics(t *testing.T) {
 	}
 }
 
+// TestNewCacheGeometry pins the geometry NewCache accepts: indexing is a
+// shift and a mask, so a line size or set count that is not a power of two
+// must panic rather than index the wrong set.
+func TestNewCacheGeometry(t *testing.T) {
+	for _, g := range []struct {
+		name       string
+		size, ways int
+		line       uint64
+		ok         bool
+	}{
+		{"8 sets of 64B", 1024, 2, 64, true},
+		{"one set", 128, 2, 64, true},
+		{"48B lines", 768, 2, 48, false},
+		{"3 sets", 384, 2, 64, false},
+		{"not divisible", 1000, 2, 64, false},
+		{"zero line", 1024, 2, 0, false},
+	} {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			NewCache("g", g.size, g.ways, g.line, 1, 1)
+			return false
+		}()
+		if panicked == g.ok {
+			t.Errorf("%s: panicked=%v, want %v", g.name, panicked, !g.ok)
+		}
+	}
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache("t", 2*64*2, 2, 64, 1, 8) // 2 sets, 2 ways
 	// Three lines mapping to set 0 (line % 2 == 0).

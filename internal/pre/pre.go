@@ -68,6 +68,8 @@ type Engine struct {
 	rng         uint64
 	recentLines [32]uint64
 	recentN     int
+
+	pr branch.Prediction // scratch for the slice-terminating branch
 }
 
 // NewEngine builds a runahead engine.
@@ -204,7 +206,8 @@ func (e *Engine) Cycle(now uint64) {
 		return
 	}
 	if last.U.Op.IsBranch() {
-		pr := e.d.Pred.Predict(last.U.Op, last.PC, 0)
+		pr := &e.pr
+		e.d.Pred.Predict(last.U.Op, last.PC, 0, pr)
 		// Runahead reads the predictor but must not corrupt its history:
 		// real execution will predict this branch again. We therefore do
 		// not call Update here (documented deviation: PRE's predictions

@@ -96,8 +96,9 @@ func TestEngineIssuesChainPrefetches(t *testing.T) {
 		d = tr.DynAt(d.Seq + 1)
 	}
 	for i := 0; i < 200; i++ {
-		pr := pred.Predict(d.U.Op, d.PC, 0)
-		pred.Update(d.U.Op, d.PC, true, d.NextPC, pr)
+		var pr branch.Prediction
+		pred.Predict(d.U.Op, d.PC, 0, &pr)
+		pred.Update(d.U.Op, d.PC, true, d.NextPC, &pr)
 	}
 
 	e.BeginStall(1000, 3, 1000+400, 100, false)

@@ -127,16 +127,10 @@ type SampleSummary struct {
 
 // sampler phases.
 const (
-	phaseFF       = iota // fast-forward with functional warming
+	phaseFF       = iota // fast-forward with functional warming (fastforward.go)
 	phaseInterval        // driving the current interval core
-	phaseCatchup         // master re-executes the measured region unwarmed
 	phaseDone
 )
-
-// ffChunk is how many master-emulator uops one sampler "cycle" executes,
-// amortizing the harness's per-cycle bookkeeping while keeping timeout and
-// cancellation checks responsive.
-const ffChunk = 4096
 
 // sampleBiasFrac widens the reported confidence interval by a fixed
 // fraction of the mean CPI. The t-interval over per-interval CPIs covers
@@ -162,13 +156,13 @@ type sampler struct {
 
 	master *emu.Emulator
 	warmer *core.Warmer
+	ff     *ffPipe // the fast-forward pipeline over master and warmer
 
 	end      uint64 // total uop budget
 	base     uint64 // uops skipped (with warming) before the first stratum
 	seed     uint64 // resolved core seed; also drives block placement
 	kIdx     uint64 // index of the next (or current) interval
 	nextCkpt uint64 // master position where the next interval starts
-	catchup  uint64 // master position to reach after an interval
 	phase    int
 
 	cur *core.Core // current (or most recent) interval core
@@ -211,40 +205,18 @@ func (s *sampler) Snapshot() core.Snapshot {
 func (s *sampler) Cycle() {
 	switch s.phase {
 	case phaseFF:
-		var d emu.DynUop
-		for i := 0; i < ffChunk; i++ {
-			if s.master.Executed() >= s.nextCkpt {
-				s.beginInterval()
-				return
-			}
-			if !s.master.Step(&d) {
-				s.finishEarly()
-				return
-			}
-			s.warmer.Observe(&d)
-		}
+		s.fastForward()
 	case phaseInterval:
 		s.cur.Cycle()
 		if s.cur.Finished() {
 			s.endInterval()
 		}
-	case phaseCatchup:
-		var d emu.DynUop
-		for i := 0; i < ffChunk; i++ {
-			if s.master.Executed() >= s.catchup {
-				s.phase = phaseFF
-				return
-			}
-			if !s.master.Step(&d) {
-				s.finishEarly()
-				return
-			}
-		}
 	}
 }
 
 // beginInterval clones the master at the checkpoint and hands the warm
-// structures to a fresh interval core.
+// structures to a fresh interval core. The fast-forward pipeline has
+// drained: its stage A is idle until endInterval sends the next span.
 func (s *sampler) beginInterval() {
 	ck := s.master.Clone()
 	ck.ResetSeq()
@@ -307,7 +279,7 @@ func (s *sampler) endInterval() {
 	// training compounds across intervals into structures (most visibly the
 	// branch predictor) far better trained than any continuous run's.
 	s.warmer.Resync(c)
-	s.catchup = s.nextCkpt + c.FetchFrontier()
+	catchup := s.nextCkpt + c.FetchFrontier()
 	// A completed interval: its stream pages go to the next interval core.
 	c.Recycle()
 	s.kIdx++
@@ -319,7 +291,8 @@ func (s *sampler) endInterval() {
 		return
 	}
 	s.nextCkpt = s.base + s.kIdx*s.samp.Interval + s.samp.blockOffset(s.seed, s.kIdx)
-	s.phase = phaseCatchup
+	s.ff.spans <- ffSpan{catchup: catchup, ckpt: s.nextCkpt}
+	s.phase = phaseFF
 }
 
 // finishEarly ends the run because the program halted before the sampling
@@ -365,7 +338,10 @@ func runSampled(ctx context.Context, benchmark string, opt Options) (Result, err
 		nextCkpt: opt.WarmupUops + samp.blockOffset(cfg.Seed, 0),
 		reason:   core.StopNone,
 	}
+	s.ff = startFF(s.master, warmer)
+	s.ff.spans <- ffSpan{ckpt: s.nextCkpt}
 	reason, err := harness.Exec(ctx, s, harness.Options{Timeout: opt.Timeout, Seed: opt.Seed})
+	s.ff.closeFF()
 	if err != nil {
 		return Result{}, fmt.Errorf("cdf: %s/%s: %w", benchmark, opt.Mode, err)
 	}
