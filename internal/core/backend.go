@@ -112,7 +112,7 @@ func (c *Core) hasRoom(e *entry) bool {
 		e.op.IsStore() && c.sectionFull(partSQ, crit, split, &c.st.SQFullCycles) {
 		return false
 	}
-	if e.wrongPath || !e.dyn.U.Op.HasDst() {
+	if e.wrongPath || !e.op.HasDst() {
 		return true
 	}
 	return c.rf.freeCount() > 0 &&
@@ -496,7 +496,8 @@ func (c *Core) execute(e *entry) {
 	default:
 		e.doneAt = c.now + uint64(e.op.Latency())
 	}
-	c.exec = append(c.exec, e)
+	c.exec = append(c.exec, execSlot{doneAt: e.doneAt, e: e})
+	c.execMin = min(c.execMin, e.doneAt)
 }
 
 // checkStoreViolation scans for younger loads that already read the store's
@@ -542,15 +543,27 @@ func (c *Core) processMemViolation() {
 // --- completion and branch resolution ---
 
 // complete retires execution results: wakes dependents and resolves
-// branches, possibly triggering recovery.
+// branches, possibly triggering recovery. It returns at once while the
+// earliest doneAt in exec is still ahead, and its scan reads only the
+// inline doneAt of uops still executing.
 func (c *Core) complete() {
+	if c.execMin > c.now {
+		return
+	}
 	var resolved *entry
-	live := c.exec[:0]
-	for _, e := range c.exec {
-		if e.doneAt > c.now {
-			live = append(live, e)
+	// Slots before the first one due stay where they are.
+	next, i := ^uint64(0), 0
+	for ; i < len(c.exec) && c.exec[i].doneAt > c.now; i++ {
+		next = min(next, c.exec[i].doneAt)
+	}
+	live := c.exec[:i]
+	for _, x := range c.exec[i:] {
+		if x.doneAt > c.now {
+			live = append(live, x)
+			next = min(next, x.doneAt)
 			continue
 		}
+		e := x.e
 		e.state = stateDone
 		c.work = true
 		c.markReadyWake(e.dstPhys)
@@ -564,7 +577,7 @@ func (c *Core) complete() {
 			}
 		}
 	}
-	c.exec = live
+	c.exec, c.execMin = live, next
 	if resolved != nil {
 		resolved.resolved = true
 		c.recoverBranch(resolved)
@@ -701,24 +714,11 @@ func (c *Core) collectFlush(seq uint64, sub uint32, inclusive bool) {
 	removed := c.robNon.flushYounger(seq, sub, inclusive, crit)
 	c.flushScratch = removed[:0]
 
-	drop := func(e *entry) bool {
-		if inclusive {
-			return e.youngerEq(seq, sub)
-		}
-		return e.younger(seq, sub)
-	}
+	drop := func(e *entry) bool { return e.flushedBy(seq, sub, inclusive) }
 
-	// LQ/SQ.
-	c.lq.filter(func(e *entry) bool { return !drop(e) }, func(e *entry) {
-		if e.critical {
-			c.lqCrit--
-		}
-	})
-	c.sq.filter(func(e *entry) bool { return !drop(e) }, func(e *entry) {
-		if e.critical {
-			c.sqCrit--
-		}
-	})
+	// LQ/SQ: program-ordered too, so each loses a suffix.
+	c.lqCrit -= c.lq.cutYounger(seq, sub, inclusive)
+	c.sqCrit -= c.sq.cutYounger(seq, sub, inclusive)
 
 	// The RS and Fig. 1 counts lose the removed ROB entries.
 	for _, e := range removed {
@@ -730,10 +730,12 @@ func (c *Core) collectFlush(seq uint64, sub uint32, inclusive bool) {
 			}
 		}
 	}
+	// Dropping slots only raises the earliest doneAt: execMin stays a
+	// lower bound.
 	keepEx := c.exec[:0]
-	for _, e := range c.exec {
-		if !drop(e) {
-			keepEx = append(keepEx, e)
+	for _, x := range c.exec {
+		if !drop(x.e) {
+			keepEx = append(keepEx, x)
 		}
 	}
 	clearTail(c.exec, len(keepEx))

@@ -78,7 +78,7 @@ func (c *Core) checkCommit(e *entry) bool {
 	if c.commitCheck == nil {
 		return true
 	}
-	d := &e.dyn
+	d := e.dyn
 	eff := CommitEffect{
 		Seq:      e.seq,
 		PC:       d.PC,

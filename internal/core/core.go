@@ -18,6 +18,13 @@ type fqItem struct {
 	at uint64 // cycle it becomes visible to rename
 }
 
+// execSlot is an issued uop with its completion cycle inline, so the
+// per-cycle completion scan reads no entry that is still executing.
+type execSlot struct {
+	doneAt uint64
+	e      *entry
+}
+
 // dbqEntry is one Delayed Branch Queue record (§3.3): the prediction made
 // by the critical fetch engine, replayed by the regular fetch engine.
 type dbqEntry struct {
@@ -59,7 +66,8 @@ type Core struct {
 	sqCrit  int
 	rsLen   int
 	rsCrit  int
-	exec    []*entry // issued, completing at doneAt
+	exec    []execSlot // issued, in issue order, completing at doneAt
+	execMin uint64     // lower bound on every doneAt in exec
 
 	// Fig. 1 composition of the ROB (see fig1Count): correct-path entries
 	// on the critical path and off it.

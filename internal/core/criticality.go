@@ -145,7 +145,7 @@ func (k *criticality) train(d *emu.DynUop, pos uint64, llcMiss, mispredict, busy
 // charges a completed walk: the machinery stays busy for the walk's
 // latency, which also gates CDF-mode entry.
 func (c *Core) trainCriticality(e *entry) {
-	res := c.crit.train(&e.dyn, c.posBase+c.retired, e.llcMiss, e.mispredict, c.now < c.machBusy)
+	res := c.crit.train(e.dyn, c.posBase+c.retired, e.llcMiss, e.mispredict, c.now < c.machBusy)
 	if res == nil {
 		return
 	}

@@ -77,6 +77,21 @@
 // admit it, runahead on the stalls taken outside CDF mode (rejected
 // traces stay in the CUC flagged NoEnter).
 //
+// # In-flight entries and stage costs (entry.go, sched.go)
+//
+// An entry points at its correct-path record in the stream (entry.dyn) and
+// never copies it; wrong-path slots and replay markers carry none. The
+// stream releases only pages wholly below oldestLiveSeq — at most the ROB
+// head, every regular decode-pipe entry and, in CDF mode, the CDF entry
+// point, which bounds the critical pipe — so every record outlives the
+// entries pointing at it (CheckInvariants asserts it). Each stage stops
+// early where it can without changing a result: readyInsert appends an
+// entry younger than the ready list's tail, issueFast skips the critical
+// pass while the critical ROB section is empty, complete and the
+// hierarchy's outstanding-miss prune return while their earliest
+// completion is ahead, and a flush cuts each program-ordered window's
+// younger suffix from the tail.
+//
 // # Validation hooks
 //
 // CheckInvariants (invariants.go) validates program order, partition

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"cdf/internal/emu"
 	"cdf/internal/isa"
 )
@@ -20,33 +18,56 @@ const (
 // entry is one in-flight uop. Program order is the (seq, sub) pair: sub is
 // zero for correct-path uops and a positive index for modelled wrong-path
 // slots younger than the branch at seq.
+//
+// dyn points at the uop's record in the correct-path stream (stream.go)
+// instead of copying it: nil for wrong-path slots and replay markers, which
+// never read it. The record stays resident while the entry lives, because
+// the stream releases only pages wholly below oldestLiveSeq, and every
+// correct-path entry — in the decode pipes, the ROB sections or (through
+// replayOf) the CMQ — sits at or above it: the regular pipe's entries are
+// scanned, the ROB's oldest is its head, and the critical pipe holds only
+// positions at or above the CDF entry point, which bounds oldestLiveSeq
+// while CDF mode is on (exiting it empties that pipe). CheckInvariants
+// asserts it. Fields are ordered to keep the struct within two cache lines
+// (TestEntryLayout).
 type entry struct {
-	seq uint64
+	seq    uint64
+	doneAt uint64
+	addr   uint64
+	dyn    *emu.DynUop
+
+	// Replay markers: the regular stream's copy of a critical uop. Replay
+	// entries are never allocated into the backend; at rename they replay
+	// replayOf's mapping from the Critical Map Queue and are discarded.
+	replayOf *entry
+
+	// Scheduler wakeup state (fast path only, see sched.go). wnext chains
+	// this entry on the waiter lists of up to two unready source registers;
+	// waitCnt counts sources still outstanding.
+	wnext [2]*entry
+
 	sub uint32
 
-	dyn       emu.DynUop // correct-path record (zero for wrong-path slots)
-	op        isa.Op     // cached opcode (synthesized for wrong-path slots)
+	// Rename state. Physical registers are int16 indices; -1 means none.
+	dstPhys  int16
+	prevCrit int16 // critical RAT's previous mapping of dst (CDF rename)
+	prevReg  int16 // regular RAT's previous mapping of dst
+	src1     int16
+	src2     int16
+
+	op        isa.Op // cached opcode (synthesized for wrong-path slots)
+	state     uopState
+	waitCnt   int8
 	wrongPath bool
 
 	critical     bool // allocated via the critical stream / marked critical
 	obsCritical  bool // observe-only mark (Fig. 1 sampling)
 	fetchedInCDF bool
-
-	// Rename state. Physical registers are int16 indices; -1 means none.
-	dstPhys     int16
-	prevCrit    int16 // critical RAT's previous mapping of dst (CDF rename)
-	prevReg     int16 // regular RAT's previous mapping of dst
-	src1        int16
-	src2        int16
-	critRenamed bool // renamed by the critical rename stage
-	regRenamed  bool // renamed (or replayed) by the regular rename stage
-
-	state  uopState
-	doneAt uint64
-	inRS   bool
+	critRenamed  bool // renamed by the critical rename stage
+	regRenamed   bool // renamed (or replayed) by the regular rename stage
+	inRS         bool
 
 	// Memory state.
-	addr      uint64
 	addrReady bool
 	issuedMem bool
 	llcMiss   bool
@@ -56,17 +77,7 @@ type entry struct {
 	mispredict bool // oracle: fetched with a wrong prediction
 	resolved   bool
 
-	// Replay markers: the regular stream's copy of a critical uop. Replay
-	// entries are never allocated into the backend; at rename they replay
-	// replayOf's mapping from the Critical Map Queue and are discarded.
 	isReplay bool
-	replayOf *entry
-
-	// Scheduler wakeup state (fast path only, see sched.go). wnext chains
-	// this entry on the waiter lists of up to two unready source registers;
-	// waitCnt counts sources still outstanding.
-	wnext   [2]*entry
-	waitCnt int8
 
 	// pooled marks an entry currently on the free list; a second put or a
 	// use-after-put trips the invariant panic in entryPool.
@@ -112,6 +123,15 @@ func (e *entry) youngerEq(seq uint64, sub uint32) bool {
 	return e.seq > seq || (e.seq == seq && e.sub >= sub)
 }
 
+// flushedBy reports whether a flush of everything younger than (seq, sub),
+// inclusive of (seq, sub) itself when inclusive is set, removes e.
+func (e *entry) flushedBy(seq uint64, sub uint32, inclusive bool) bool {
+	if inclusive {
+		return e.youngerEq(seq, sub)
+	}
+	return e.younger(seq, sub)
+}
+
 // before reports whether e precedes f in program order.
 func (e *entry) before(f *entry) bool {
 	return e.seq < f.seq || (e.seq == f.seq && e.sub < f.sub)
@@ -150,26 +170,53 @@ func (f *fifo) insertOrdered(e *entry) {
 // flushYounger removes entries younger than (seq, sub) — strictly, or
 // inclusive of (seq, sub) itself when inclusive is set — appending the
 // removed entries to scratch youngest-first (the order rename undo needs)
-// and returning the extended slice. Callers pass a reusable buffer so the
-// flush path does not allocate in steady state.
+// and returning the extended slice. The fifo is program-ordered, so the
+// removed entries are a suffix, found from the tail. Callers pass a
+// reusable buffer so the flush path does not allocate in steady state.
 func (f *fifo) flushYounger(seq uint64, sub uint32, inclusive bool, scratch []*entry) []*entry {
-	base := len(scratch)
-	f.filter(func(e *entry) bool {
-		if inclusive {
-			return !e.youngerEq(seq, sub)
-		}
-		return !e.younger(seq, sub)
-	}, func(e *entry) { scratch = append(scratch, e) })
-	slices.Reverse(scratch[base:]) // youngest first among this fifo's removals
+	items := f.items
+	n := f.youngerSuffix(seq, sub, inclusive)
+	for i := len(items) - 1; i >= n; i-- {
+		scratch = append(scratch, items[i])
+	}
+	f.truncate(n)
 	return scratch
+}
+
+// cutYounger removes the suffix flushYounger would, returning how many of
+// the removed entries were critical (the LQ and SQ count their critical
+// section).
+func (f *fifo) cutYounger(seq uint64, sub uint32, inclusive bool) (crit int) {
+	n := f.youngerSuffix(seq, sub, inclusive)
+	for _, e := range f.items[n:] {
+		if e.critical {
+			crit++
+		}
+	}
+	f.truncate(n)
+	return crit
+}
+
+// youngerSuffix returns the index of the first entry younger than
+// (seq, sub) — or younger-or-equal when inclusive — scanning back from the
+// tail; everything from there on is the suffix a flush removes.
+func (f *fifo) youngerSuffix(seq uint64, sub uint32, inclusive bool) int {
+	i := len(f.items)
+	for i > 0 && f.items[i-1].flushedBy(seq, sub, inclusive) {
+		i--
+	}
+	return i
 }
 
 // queue is a sliding window over a backing array, for the frontend's
 // value-typed pipes (fetch queue, DBQ), pointer queues (critical queue,
 // CMQ) and the fifo windows: items is buf[off:], popHead just advances off,
-// and push compacts the window back to the front of buf only when append
-// would grow it — so both ends are amortized O(1) with zero steady-state
-// allocation, and readers can keep iterating the items slice directly.
+// and push, when the backing array is full, compacts the window back to
+// the front of buf only if the dead prefix is at least as long as the live
+// window, and otherwise lets append grow it. Each compaction then moves at
+// most as many elements as were popped since the last one, so both ends
+// are amortized O(1) with zero steady-state allocation, and readers can
+// keep iterating the items slice directly.
 type queue[T any] struct {
 	items []T // the live window: always buf[off:]
 	buf   []T
@@ -179,7 +226,7 @@ type queue[T any] struct {
 func (q *queue[T]) len() int    { return len(q.items) }
 func (q *queue[T]) empty() bool { return len(q.items) == 0 }
 func (q *queue[T]) push(v T) {
-	if len(q.buf) == cap(q.buf) && q.off > 0 {
+	if len(q.buf) == cap(q.buf) && q.off > 0 && q.off >= len(q.items) {
 		n := copy(q.buf, q.items)
 		clearTail(q.buf, n)
 		q.buf = q.buf[:n]
@@ -210,6 +257,13 @@ func (q *queue[T]) clear() {
 	q.items = q.buf
 }
 
+// truncate drops every item from index n of the live window on.
+func (q *queue[T]) truncate(n int) {
+	clearTail(q.items, n)
+	q.buf = q.buf[:q.off+n]
+	q.items = q.buf[q.off:]
+}
+
 // filter keeps only items for which keep returns true, preserving order.
 // Dropped items are handed to the callback before removal (nil ok).
 func (q *queue[T]) filter(keep func(T) bool, dropped func(T)) {
@@ -222,7 +276,5 @@ func (q *queue[T]) filter(keep func(T) bool, dropped func(T)) {
 			dropped(v)
 		}
 	}
-	clearTail(items, len(kept))
-	q.buf = q.buf[:q.off+len(kept)]
-	q.items = q.buf[q.off:]
+	q.truncate(len(kept))
 }

@@ -110,7 +110,7 @@ func (c *Core) regFetch() {
 			e.seq, e.op = c.regSeq, dyn.U.Op
 			e.isReplay, e.replayOf, e.fetchedInCDF = true, rec.critEntry, true
 		} else {
-			e.seq, e.dyn, e.op = c.regSeq, *dyn, dyn.U.Op
+			e.seq, e.dyn, e.op = c.regSeq, dyn, dyn.U.Op
 			e.fetchedInCDF, e.obsCritical = c.cdfOn, rec.markedCritical
 			e.dstPhys, e.prevCrit, e.prevReg, e.src1, e.src2 = -1, -1, -1, -1, -1
 		}
@@ -367,7 +367,7 @@ func (c *Core) critFetch() {
 		}
 		if i < 64 && tr.Mask&(1<<uint(i)) != 0 {
 			e := c.pool.get()
-			e.seq, e.dyn, e.op = pos, r.dyn, r.dyn.U.Op
+			e.seq, e.dyn, e.op = pos, &r.dyn, r.dyn.U.Op
 			e.critical, e.fetchedInCDF = true, true
 			e.dstPhys, e.prevCrit, e.prevReg, e.src1, e.src2 = -1, -1, -1, -1, -1
 			r.fetchedCritical = true

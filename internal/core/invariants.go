@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"cdf/internal/emu"
+)
 
 // CheckInvariants validates the machine's structural invariants. It is
 // O(window) and meant for tests (run it every cycle on short workloads);
@@ -18,6 +22,13 @@ import "fmt"
 //  5. Every in-flight entry with a destination owns a physical register.
 //  6. CMQ entries are critical, renamed, and in program order.
 //  7. The DBQ is in program order.
+//  8. Every correct-path entry in the ROB or a decode pipe is at or above
+//     the stream's released base, and its dyn is the resident record at
+//     its seq (replay markers carry none).
+//  9. The ready list is strictly program-ordered, and each of its entries
+//     is in the RS with no outstanding source.
+//  10. Each exec slot's inline doneAt is its entry's, and no earlier than
+//     the cached earliest doneAt complete's early return relies on.
 func (c *Core) CheckInvariants() error {
 	if err := checkOrdered("robCrit", c.robCrit.items); err != nil {
 		return err
@@ -128,6 +139,13 @@ func (c *Core) CheckInvariants() error {
 		}
 	}
 
+	if err := c.checkStreamRefs(); err != nil {
+		return err
+	}
+	if err := c.checkSched(); err != nil {
+		return err
+	}
+
 	// Partition caps (when active): the sections span the structure, and
 	// the critical section stays within its cap.
 	for i, p := range c.partitions() {
@@ -150,6 +168,67 @@ func checkOrdered(name string, items []*entry) error {
 		if !items[i-1].before(items[i]) {
 			return fmt.Errorf("%s out of program order at %d: %d.%d then %d.%d",
 				name, i, items[i-1].seq, items[i-1].sub, items[i].seq, items[i].sub)
+		}
+	}
+	return nil
+}
+
+// checkStreamRefs checks invariant 8: an entry's stream record stays
+// resident while the entry lives.
+func (c *Core) checkStreamRefs() error {
+	check := func(where string, e *entry) error {
+		if e.wrongPath {
+			return nil
+		}
+		if e.seq < c.strm.base {
+			return fmt.Errorf("%s entry %d is below the stream base %d (record released)", where, e.seq, c.strm.base)
+		}
+		var want *emu.DynUop
+		if !e.isReplay {
+			r := c.strm.peek(e.seq)
+			if r == nil {
+				return fmt.Errorf("%s entry %d has no resident stream record", where, e.seq)
+			}
+			want = &r.dyn
+		}
+		if e.dyn != want {
+			return fmt.Errorf("%s entry %d does not point at its stream record", where, e.seq)
+		}
+		return nil
+	}
+	for _, sec := range [2][]*entry{c.robCrit.items, c.robNon.items} {
+		for _, e := range sec {
+			if err := check("ROB", e); err != nil {
+				return err
+			}
+		}
+	}
+	for _, q := range [2][]fqItem{c.fetchQ.items, c.critQ.items} {
+		for _, it := range q {
+			if err := check("decode-pipe", it.e); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// checkSched checks invariants 9 and 10, the fast-path scheduler's ready
+// list and the exec list.
+func (c *Core) checkSched() error {
+	for i, e := range c.readyList {
+		if i > 0 && !c.readyList[i-1].before(e) {
+			return fmt.Errorf("ready list out of program order at %d: %d.%d", i, e.seq, e.sub)
+		}
+		if !e.inRS || e.waitCnt != 0 {
+			return fmt.Errorf("ready entry %d.%d has inRS %v, waitCnt %d", e.seq, e.sub, e.inRS, e.waitCnt)
+		}
+	}
+
+	for _, x := range c.exec {
+		if x.doneAt < c.execMin || x.doneAt != x.e.doneAt {
+			return fmt.Errorf("exec slot of %d.%d: doneAt %d, entry's %d, cached earliest %d",
+				x.e.seq, x.e.sub, x.doneAt, x.e.doneAt, c.execMin)
 		}
 	}
 	return nil

@@ -83,8 +83,15 @@ func (c *Core) markReadyWake(p int16) {
 }
 
 // readyInsert places e into the ready list at its program-order position.
+// Dispatch runs in program order within each stream, so e is usually
+// younger than the list's tail and is appended without a search.
 func (c *Core) readyInsert(e *entry) {
-	i := sort.Search(len(c.readyList), func(i int) bool {
+	n := len(c.readyList)
+	if n == 0 || c.readyList[n-1].before(e) {
+		c.readyList = append(c.readyList, e)
+		return
+	}
+	i := sort.Search(n, func(i int) bool {
 		return !c.readyList[i].before(e)
 	})
 	c.readyList = append(c.readyList, nil)
@@ -140,16 +147,24 @@ func (c *Core) issueFast() {
 	c.staPending = keep
 
 	// Two passes over the ready list: critical entries first, then the
-	// rest; both oldest-first (the list is program-ordered). Issued and
-	// parked entries leave the list in one compaction afterwards.
-	left := len(c.readyList)
-	for pass := 0; pass < 2 && budget > 0; pass++ {
+	// rest; both oldest-first (the list is program-ordered). Only entries
+	// of the critical ROB section are critical, so with that section empty
+	// the first pass is skipped. Issued and parked entries — the only
+	// ones that leave the RS or gain a wait count here — have their slot
+	// cleared, and leave the list in one compaction afterwards that starts
+	// at the first cleared slot.
+	lo := len(c.readyList)
+	first := 0
+	if c.robCrit.len() == 0 {
+		first = 1
+	}
+	for pass := first; pass < 2 && budget > 0; pass++ {
 		wantCritical := pass == 0
-		for _, e := range c.readyList {
+		for i, e := range c.readyList {
 			if budget == 0 {
 				break
 			}
-			if e.critical != wantCritical {
+			if e == nil || e.critical != wantCritical {
 				continue
 			}
 			if !e.wrongPath && !(c.rf.isReady(e.src1) && c.rf.isReady(e.src2)) {
@@ -159,7 +174,8 @@ func (c *Core) issueFast() {
 				// slow path re-checks readiness every cycle, so park the
 				// entry back on the wait chains of its new producers.
 				c.schedChain(e)
-				left--
+				c.readyList[i] = nil
+				lo = min(lo, i)
 				continue
 			}
 			cls := e.op.Port()
@@ -173,18 +189,19 @@ func (c *Core) issueFast() {
 			}
 			ports[cls]--
 			budget--
-			left--
 			c.work = true
 			if c.tracer != nil {
 				c.traceEvent("issue", e, e.op.String())
 			}
+			c.readyList[i] = nil
+			lo = min(lo, i)
 			c.execute(e)
 		}
 	}
-	if left < len(c.readyList) {
-		kept := c.readyList[:0]
-		for _, e := range c.readyList {
-			if e.inRS && e.waitCnt == 0 {
+	if lo < len(c.readyList) {
+		kept := c.readyList[:lo]
+		for _, e := range c.readyList[lo:] {
+			if e != nil {
 				kept = append(kept, e)
 			}
 		}

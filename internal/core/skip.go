@@ -184,8 +184,8 @@ func (c *Core) nextEvent() (uint64, bool) {
 		}
 	}
 	// Execution completions: complete() acts at doneAt.
-	for _, e := range c.exec {
-		bound(e.doneAt)
+	for _, x := range c.exec {
+		bound(x.doneAt)
 	}
 	// Outstanding LLC misses: the per-cycle MLP sample changes when one
 	// drains (OutstandingLLCMisses prunes at done <= now).

@@ -144,11 +144,15 @@ func (c *Core) Snapshot() Snapshot {
 		s.FetchPC = r.dyn.PC
 	}
 	if h := c.oldestROBHead(); h != nil {
+		var pc uint64 // zero for a wrong-path slot, which has no record
+		if h.dyn != nil {
+			pc = h.dyn.PC
+		}
 		s.Head = HeadUop{
 			Valid:     true,
 			Seq:       h.seq,
 			Sub:       h.sub,
-			PC:        h.dyn.PC,
+			PC:        pc,
 			Op:        h.op.String(),
 			State:     h.state.String(),
 			Critical:  h.critical,

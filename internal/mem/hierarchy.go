@@ -87,8 +87,10 @@ type Hierarchy struct {
 	St   *stats.Stats
 
 	// outstanding holds in-flight demand LLC misses (completion cycle and
-	// line), for the MLP metric and merged-miss bookkeeping.
-	outstanding []outstandingMiss
+	// line), for the MLP metric and merged-miss bookkeeping; outstandingMin
+	// is a lower bound on their completion cycles.
+	outstanding    []outstandingMiss
+	outstandingMin uint64
 
 	// llcMissPending remembers which pending L1D fills also missed the LLC,
 	// so merged requests report LLCMiss consistently. Entries are removed
@@ -327,6 +329,7 @@ func (h *Hierarchy) accessLLC(line, at uint64, inst, wrongPath bool) (done uint6
 	h.LLC.AddPending(line, done, at)
 	if !wrongPath && !inst {
 		h.outstanding = append(h.outstanding, outstandingMiss{done: done, line: line})
+		h.outstandingMin = min(h.outstandingMin, done)
 	}
 	return done, true
 }
@@ -387,17 +390,24 @@ func (h *Hierarchy) insertLLCDirty(line uint64) {
 
 // OutstandingLLCMisses returns the number of in-flight demand LLC misses at
 // cycle now, pruning completed ones (and their merged-miss map entries).
-// The core calls this once per cycle to integrate the MLP metric.
+// The core calls this once per cycle to integrate the MLP metric; while the
+// earliest completion is still ahead there is nothing to prune.
 func (h *Hierarchy) OutstandingLLCMisses(now uint64) int {
+	if h.outstandingMin > now {
+		return len(h.outstanding)
+	}
+	next := ^uint64(0)
 	live := h.outstanding[:0]
 	for _, om := range h.outstanding {
 		if om.done > now {
 			live = append(live, om)
+			next = min(next, om.done)
 		} else {
 			h.llcMissDel(om.line)
 		}
 	}
 	h.outstanding = live
+	h.outstandingMin = next
 	return len(h.outstanding)
 }
 

@@ -44,6 +44,9 @@ type Stream struct {
 	clock uint64
 	fdp   FDP
 
+	// out is OnMiss's reused result buffer.
+	out []uint64
+
 	// frozen suspends FDP feedback (see Freeze).
 	frozen bool
 }
@@ -58,32 +61,14 @@ func New(cfg Config) *Stream {
 func (s *Stream) Degree() int { return s.fdp.Degree() }
 
 // OnMiss trains the prefetcher with a demand-miss line address and returns
-// the line addresses to prefetch (possibly none).
+// the line addresses to prefetch (possibly none). The result is a buffer
+// the next call reuses: consume it before calling again.
 func (s *Stream) OnMiss(lineAddr uint64) []uint64 {
 	region := (lineAddr * s.cfg.LineBytes) >> s.cfg.RegionBits
 	s.clock++
 
-	var e *streamEntry
-	for i := range s.table {
-		t := &s.table[i]
-		if t.valid && t.region == region {
-			e = t
-			break
-		}
-	}
+	e := s.lookup(region, lineAddr)
 	if e == nil {
-		victim := &s.table[0]
-		for i := range s.table {
-			t := &s.table[i]
-			if !t.valid {
-				victim = t
-				break
-			}
-			if t.lru < victim.lru {
-				victim = t
-			}
-		}
-		*victim = streamEntry{valid: true, region: region, lastLine: lineAddr, lru: s.clock}
 		return nil
 	}
 	e.lru = s.clock
@@ -114,7 +99,7 @@ func (s *Stream) OnMiss(lineAddr uint64) []uint64 {
 	}
 
 	degree := s.fdp.Degree()
-	out := make([]uint64, 0, degree)
+	out := s.out[:0]
 	for i := 1; i <= degree; i++ {
 		next := int64(lineAddr) + e.dir*int64(i)
 		if next < 0 {
@@ -130,7 +115,35 @@ func (s *Stream) OnMiss(lineAddr uint64) []uint64 {
 	if !s.frozen {
 		s.fdp.OnIssued(uint64(len(out)))
 	}
+	s.out = out
 	return out
+}
+
+// lookup returns the valid entry tracking region. On a miss it gives the
+// region a fresh entry starting at lineAddr and returns nil; the victim is
+// the first invalid entry, else the least recently used one, ties to the
+// lowest index. One scan finds the region and the victim together.
+func (s *Stream) lookup(region, lineAddr uint64) *streamEntry {
+	invalid, lru := -1, 0
+	for i := range s.table {
+		t := &s.table[i]
+		switch {
+		case !t.valid:
+			if invalid < 0 {
+				invalid = i
+			}
+		case t.region == region:
+			return t
+		case t.lru < s.table[lru].lru:
+			lru = i
+		}
+	}
+	victim := lru
+	if invalid >= 0 {
+		victim = invalid
+	}
+	s.table[victim] = streamEntry{valid: true, region: region, lastLine: lineAddr, lru: s.clock}
+	return nil
 }
 
 // Freeze suspends (or resumes) FDP feedback. Functional warming trains
