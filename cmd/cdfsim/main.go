@@ -6,7 +6,6 @@
 //	cdfsim -bench astar -mode cdf -uops 200000
 //	cdfsim -bench mcf -timeout 2m -paranoid
 //	cdfsim -bench lbm -oracle              # lockstep differential checking
-//	cdfsim -repro repro/repro-divergence-seed7.json
 //	cdfsim -cache-dir .sweep               # serve/record in the result cache
 //	cdfsim -worker                         # sweep-service worker (see cdfsweepd)
 //	cdfsim -list
@@ -14,8 +13,9 @@
 //
 // A run that fails — panic, watchdog-detected deadlock, -timeout, or an
 // -oracle divergence — exits non-zero and prints the machine-state snapshot
-// captured at the failure. Every run prints its seed, so any failure can be
-// replayed exactly with -seed.
+// captured at the failure. Every run prints its seed, so any failure is
+// replayed exactly by rerunning the same -bench, -mode and knobs with
+// -seed set to the printed value (add -oracle for a divergence).
 //
 // With -cache-dir the run goes through the same content-addressed result
 // cache the sweep tool uses: a prior result for the exact same (benchmark,
@@ -58,7 +58,6 @@ func main() {
 		traceN = flag.Int("trace", 0, "print the first N pipeline trace events and exit")
 
 		cacheDir = flag.String("cache-dir", "", "content-addressed result cache: serve a verified prior result, else simulate and record")
-		repro    = flag.String("repro", "", "replay a repro artifact written by the failure minimizer, then exit")
 
 		workerMode = flag.Bool("worker", false, "sweep-service worker mode: serve case requests on stdin/stdout (see cdfsweepd)")
 		workerHB   = flag.Duration("worker-hb", 0, "worker heartbeat period (0 = default); only with -worker")
@@ -99,10 +98,6 @@ func main() {
 		for _, b := range cdf.Benchmarks() {
 			fmt.Printf("%-12s %-16s expect=%-8s %s\n", b.Name, b.SPEC, b.Expect, b.Phenotype)
 		}
-		return
-	}
-	if *repro != "" {
-		runRepro(*repro, opt.Timeout)
 		return
 	}
 
@@ -217,38 +212,4 @@ func printFailureDetail(w *os.File, err error) {
 	if errors.As(err, &sim) && sim.HasSnap {
 		fmt.Fprintln(w, sim.Snap.String())
 	}
-}
-
-// runRepro replays a minimized failure artifact. The replay succeeds (exit
-// 0) only when the recorded failure class reproduces.
-func runRepro(path string, timeout time.Duration) {
-	c, fault, want, err := harness.LoadRepro(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cdfsim:", err)
-		os.Exit(2)
-	}
-	src := c.Bench
-	if src == "" {
-		src = "embedded program"
-	}
-	fmt.Printf("replaying %s: %s, mode %s, seed %d", path, src, c.Mode, c.Seed)
-	if fault != "" {
-		fmt.Printf(", fault %q", fault)
-	}
-	fmt.Printf(" (recorded failure: %s)\n", want)
-
-	_, err = harness.RunCase(context.Background(), c, true, fault, harness.Options{Timeout: timeout})
-	if err == nil {
-		fmt.Fprintf(os.Stderr, "cdfsim: repro did not reproduce: run completed cleanly (recorded %q)\n", want)
-		os.Exit(1)
-	}
-	fmt.Println(err)
-	printFailureDetail(os.Stdout, err)
-	var sim *harness.SimError
-	if errors.As(err, &sim) && sim.Reason == want {
-		fmt.Printf("reproduced recorded failure %q\n", want)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "cdfsim: failure does not match recorded class %q\n", want)
-	os.Exit(1)
 }

@@ -86,17 +86,6 @@ func (c *UopCache) Probe(blockPC uint64) (Trace, bool) {
 	return Trace{}, false
 }
 
-// Contains probes without updating LRU or hit/miss counters.
-func (c *UopCache) Contains(blockPC uint64) bool {
-	set := c.set(blockPC)
-	for i := range set {
-		if set[i].valid && set[i].trace.BlockPC == blockPC {
-			return true
-		}
-	}
-	return false
-}
-
 // Install inserts or updates a trace. It returns the number of single-cycle
 // install operations performed (one per line), which the walk latency model
 // charges.

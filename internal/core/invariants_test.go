@@ -38,6 +38,12 @@ func TestInvariantsEveryCycle(t *testing.T) {
 				}
 				for !c.finished {
 					c.Cycle()
+					// Release stream pages as eagerly as the live window
+					// allows, so a record released while an entry still
+					// points at it fails the check below. The machine's own
+					// release runs every 4096 retired uops and lands near a
+					// page boundary, which hides such a bug.
+					c.strm.Release(c.oldestLiveSeq())
 					if c.now%64 == 0 { // every cycle is too slow; 64 catches fast
 						if err := c.CheckInvariants(); err != nil {
 							t.Fatalf("cycle %d: %v", c.now, err)

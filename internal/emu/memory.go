@@ -71,10 +71,9 @@ func (m *Memory) Clone() *Memory {
 	return &Memory{words: w, regions: append([]Region(nil), m.regions...)}
 }
 
-// BuildMemory materializes a serializable prog.MemSpec: every region reads
-// as SplitMix64(addr ^ Salt). Repro artifacts reconstruct a failing case's
-// data memory through this, so generated programs round-trip through disk
-// with bit-identical initial contents.
+// BuildMemory materializes a prog.MemSpec: every region reads as
+// SplitMix64(addr ^ Salt). The fuzz and oracle tests build the initial
+// memory of prog.Generate's programs through this.
 func BuildMemory(spec prog.MemSpec) *Memory {
 	m := NewMemory()
 	for _, r := range spec {

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"cdf/internal/core"
+	"cdf/internal/oracle"
+	"cdf/internal/workload"
 )
 
 // stubSim is a scriptable Sim: it finishes after finishAt cycles with
@@ -256,5 +258,86 @@ func TestPoolCancellation(t *testing.T) {
 	}
 	if int(started.Load())+canceled != 40 {
 		t.Fatalf("started %d + canceled %d != 40", started.Load(), canceled)
+	}
+}
+
+// TestSentinels: every failure class matches its errors.Is target and no
+// other.
+func TestSentinels(t *testing.T) {
+	cases := []struct {
+		reason string
+		target error
+	}{
+		{ReasonPanic, ErrPanic},
+		{ReasonTimeout, ErrTimeout},
+		{ReasonCanceled, ErrCanceled},
+		{ReasonWatchdog, ErrWatchdog},
+		{ReasonCycleBudget, ErrCycleBudget},
+		{ReasonDivergence, ErrDivergence},
+	}
+	all := []error{ErrPanic, ErrTimeout, ErrCanceled, ErrWatchdog, ErrCycleBudget, ErrDivergence}
+	for _, c := range cases {
+		err := error(&SimError{Reason: c.reason})
+		for _, target := range all {
+			if got, want := errors.Is(err, target), target == c.target; got != want {
+				t.Errorf("reason %q: errors.Is(%v) = %v, want %v", c.reason, target, got, want)
+			}
+		}
+	}
+	// The unresponsive-timeout variant still matches ErrTimeout.
+	if !errors.Is(&SimError{Reason: ReasonTimeout + " (simulator unresponsive)"}, ErrTimeout) {
+		t.Error("suffixed timeout reason does not match ErrTimeout")
+	}
+}
+
+// TestExecReportsDivergence: a commit bug caught by the oracle comes out
+// of Exec as an ErrDivergence *SimError with the seed stamped and the
+// *oracle.DivergenceError in its chain, and a rerun of the same bench,
+// mode and seed diverges at the same commit with the same effect.
+func TestExecReportsDivergence(t *testing.T) {
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() error {
+		p, m := w.Build()
+		cfg := core.Default()
+		cfg.Mode = core.ModeCDF
+		cfg.Seed = 7
+		cfg.MaxRetired = 4000
+		cfg.MaxCycles = cfg.MaxRetired * 500
+		cfg.WatchdogCycles = 50_000
+		c, err := core.New(cfg, p, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle.Attach(c, p, m)
+		c.SetCommitFault(func(e *core.CommitEffect) {
+			if e.HasDst {
+				e.DstValue ^= 1
+			}
+		})
+		_, err = Exec(context.Background(), c, Options{Seed: 7})
+		return err
+	}
+	divergence := func() *oracle.DivergenceError {
+		err := run()
+		if !errors.Is(err, ErrDivergence) {
+			t.Fatalf("Exec error = %v, want ErrDivergence", err)
+		}
+		var sim *SimError
+		if !errors.As(err, &sim) || sim.Seed != 7 {
+			t.Fatalf("SimError seed not stamped: %v", err)
+		}
+		var div *oracle.DivergenceError
+		if !errors.As(err, &div) {
+			t.Fatalf("error chain lacks *oracle.DivergenceError: %v", err)
+		}
+		return div
+	}
+	d1, d2 := divergence(), divergence()
+	if d1.Checked != d2.Checked || d1.Got != d2.Got {
+		t.Fatalf("rerun not deterministic: commit %d (%s) vs commit %d (%s)",
+			d1.Checked, d1.Got, d2.Checked, d2.Got)
 	}
 }

@@ -115,18 +115,6 @@ func (o Op) String() string {
 // Valid reports whether o is a defined opcode.
 func (o Op) Valid() bool { return o < numOps }
 
-// OpByName returns the opcode with the given mnemonic. Program
-// deserialization uses it so artifacts name opcodes rather than depending
-// on their numeric values.
-func OpByName(name string) (Op, bool) {
-	for o := Op(0); o < numOps; o++ {
-		if opNames[o] == name {
-			return o, true
-		}
-	}
-	return 0, false
-}
-
 // HasDst reports whether uops with opcode o write a destination register.
 func (o Op) HasDst() bool {
 	switch o {

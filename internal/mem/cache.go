@@ -268,12 +268,3 @@ func (c *Cache) PendingCount(now uint64) int {
 // handed to a fresh interval core: MSHR ready cycles are in the previous
 // core's timebase and would otherwise poison the new core's clock.
 func (c *Cache) ResetPending() { c.pending = c.pending[:0] }
-
-// Flush invalidates the entire cache (used between simulation phases in
-// tests; the evaluation never flushes mid-run).
-func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = cacheLine{}
-	}
-	c.pending = c.pending[:0]
-}

@@ -6,15 +6,16 @@ import (
 	"cdf/internal/isa"
 )
 
-// MemRegion is a serializable procedural data-memory region [Lo, Hi): every
-// word reads as SplitMix64(addr ^ Salt). It is the on-disk form of the
-// closures emu.Memory carries at runtime; emu.BuildMemory materializes it.
-// Repro artifacts use MemSpec so a failing generated program round-trips
-// through disk with bit-identical initial memory.
+// MemRegion is a procedural data-memory region [Lo, Hi): every word reads
+// as SplitMix64(addr ^ Salt). prog sits below emu, so Generate describes a
+// generated program's memory as plain data and emu.BuildMemory turns it
+// into the closures emu.Memory carries. The fuzz and oracle tests
+// (FuzzCore, TestFuzzRandomPrograms, TestGeneratedProgramsAgree) build the
+// core's and the reference emulator's initial memory from it.
 type MemRegion struct {
-	Lo   uint64 `json:"lo"`
-	Hi   uint64 `json:"hi"`
-	Salt uint64 `json:"salt"`
+	Lo   uint64
+	Hi   uint64
+	Salt uint64
 }
 
 // MemSpec describes a program's procedural data memory.

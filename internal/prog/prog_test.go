@@ -1,6 +1,8 @@
 package prog
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -275,4 +277,25 @@ func TestMustProgramPanics(t *testing.T) {
 	lbl := b.ReserveLabel()
 	b.Jmp(lbl)
 	b.MustProgram()
+}
+
+func TestGenerateDeterministicAndValid(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		p1, m1 := Generate(rand.New(rand.NewSource(seed)), "gen")
+		p2, m2 := Generate(rand.New(rand.NewSource(seed)), "gen")
+		if err := p1.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !reflect.DeepEqual(m1, m2) {
+			t.Fatalf("seed %d: memory spec not deterministic", seed)
+		}
+		if len(p1.Blocks) != len(p2.Blocks) || p1.NumUops() != p2.NumUops() {
+			t.Fatalf("seed %d: program shape not deterministic", seed)
+		}
+		for i := range p1.Blocks {
+			if !reflect.DeepEqual(*p1.Blocks[i], *p2.Blocks[i]) {
+				t.Fatalf("seed %d: block B%d not deterministic", seed, i)
+			}
+		}
+	}
 }

@@ -120,8 +120,8 @@ func mix64(x uint64) uint64 {
 // classes a retry can plausibly clear (wall-clock timeouts, watchdog
 // trips under load, worker panics), false for deterministic failures
 // that would only recur — most importantly an oracle divergence, which
-// must fail fast and keep its repro artifact, and cancellation, which is
-// the sweep shutting down, not the case misbehaving.
+// must fail fast, and cancellation, which is the sweep shutting down, not
+// the case misbehaving.
 func Retryable(err error) bool {
 	switch {
 	case err == nil:

@@ -33,7 +33,6 @@ import (
 //	<dir>/journal.log      append-only progress journal
 //	<dir>/objects/xx/<key> content-addressed result entries
 type Store struct {
-	dir     string
 	lock    *fileLock
 	journal *Journal
 	cache   *Cache
@@ -80,11 +79,8 @@ func Open(dir string, resume bool) (*Store, error) {
 		lock.release()
 		return nil, err
 	}
-	return &Store{dir: dir, lock: lock, journal: j, cache: &Cache{dir: filepath.Join(dir, "objects")}}, nil
+	return &Store{lock: lock, journal: j, cache: &Cache{dir: filepath.Join(dir, "objects")}}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Meta returns the journal's meta record (sweep seed and run length),
 // when one was recovered or appended.
