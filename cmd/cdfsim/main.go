@@ -60,7 +60,6 @@ func main() {
 		cacheDir = flag.String("cache-dir", "", "content-addressed result cache: serve a verified prior result, else simulate and record")
 
 		workerMode = flag.Bool("worker", false, "sweep-service worker mode: serve case requests on stdin/stdout (see cdfsweepd)")
-		workerHB   = flag.Duration("worker-hb", 0, "worker heartbeat period (0 = default); only with -worker")
 		chaosSpec  = flag.String("chaos", "", "deterministic fault injection in -worker mode, e.g. seed=1,workerkill=0.2,hbstall=0.1")
 	)
 	flag.Parse()
@@ -84,7 +83,7 @@ func main() {
 				os.Exit(2)
 			}
 		}
-		if err := sweepd.RunWorker(os.Stdin, os.Stdout, chaos, *workerHB); err != nil {
+		if err := sweepd.RunWorker(os.Stdin, os.Stdout, chaos, 0); err != nil {
 			fmt.Fprintln(os.Stderr, "cdfsim:", err)
 			os.Exit(1)
 		}

@@ -185,9 +185,6 @@ func TestPredictorCondFlow(t *testing.T) {
 	if !pr.TargetHit || pr.Target != 0x5000 {
 		t.Fatalf("target = (%#x, %v)", pr.Target, pr.TargetHit)
 	}
-	if p.CondPredicts == 0 {
-		t.Fatal("prediction counter not incremented")
-	}
 }
 
 func TestPredictorCallRet(t *testing.T) {

@@ -143,9 +143,6 @@ type Predictor struct {
 	Loop *LoopPredictor
 	BTB  *BTB
 	RAS  *RAS
-
-	CondPredicts uint64
-	CondWrong    uint64
 }
 
 // NewPredictor builds the default Table 1 branch unit.
@@ -174,7 +171,6 @@ func (p *Predictor) Predict(op isa.Op, pc, retPC uint64, pr *Prediction) {
 		if lp, ok := p.Loop.Predict(pc); ok {
 			pr.Taken = lp
 		}
-		p.CondPredicts++
 		if pr.Taken {
 			pr.Target, pr.TargetHit = p.BTB.Lookup(pc)
 		} else {
@@ -198,9 +194,6 @@ func (p *Predictor) Predict(op isa.Op, pc, retPC uint64, pr *Prediction) {
 // Prediction its Predict call wrote.
 func (p *Predictor) Update(op isa.Op, pc uint64, taken bool, target uint64, pr *Prediction) {
 	if pr.Cond {
-		if pr.Taken != taken {
-			p.CondWrong++
-		}
 		p.Tage.Update(pc, taken, &pr.Info)
 		p.Loop.Update(pc, taken)
 	}

@@ -228,7 +228,7 @@ func (c *Core) nextEvent() (uint64, bool) {
 	// capacity), but clamp to now anyway so a surprise forces a real cycle
 	// instead of an unsound skip.
 	if c.fr != nil && c.fr.fdip != nil && c.fr.fdip.Len() > 0 {
-		d, ok := c.hier.L1INextPendingReady()
+		d, ok := c.hier.L1I.NextPendingReady()
 		if !ok {
 			return 0, false
 		}

@@ -248,15 +248,19 @@ func (c *Chaos) CaseSimulated() {
 
 // draw maps (seed, kind, key, attempt) to a uniform float in [0,1).
 func (c *Chaos) draw(kind, key string, attempt int) float64 {
+	return Draw(c.cfg.Seed, kind+"\x00"+key, attempt)
+}
+
+// Draw hashes (seed, key, attempt) to a uniform float in [0,1): the one
+// seeded draw behind chaos fault injection and sweepstore's retry jitter.
+func Draw(seed uint64, key string, attempt int) float64 {
 	h := fnv.New64a()
 	var buf [16]byte
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(c.cfg.Seed >> (8 * i))
+		buf[i] = byte(seed >> (8 * i))
 		buf[8+i] = byte(uint64(attempt) >> (8 * i))
 	}
 	h.Write(buf[:])
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
 	h.Write([]byte(key))
 	return float64(mix64(h.Sum64())>>11) / float64(1<<53)
 }

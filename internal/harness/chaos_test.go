@@ -177,3 +177,28 @@ func TestChaosCorruptPutSequence(t *testing.T) {
 		t.Fatalf("corrupt draws degenerate at p=0.5: %d yes / %d no", a, b)
 	}
 }
+
+// TestChaosDrawPinned pins a few fault draws to the values they had when
+// the draw was first shared with sweepstore's backoff jitter, so the
+// chaos and sweepd smokes keep injecting the same faults at the same
+// points.
+func TestChaosDrawPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed      uint64
+		kind, key string
+		attempt   int
+		want      float64
+	}{
+		{1, "panic", "mcf/cdf", 0, 0.7406405416551382},
+		{1, "corrupt", "3", 0, 0.26634450189207237},
+		{1, "delaylen", "astar/baseline", 2, 0.4158265296538117},
+		{9, "workerkill", "lbm/pre", 0, 0.7834082634224008},
+		{9, "slow", "lbm/pre", 1, 0.370525541011515},
+		{9, "slowlen", "omnetpp/hybrid", 3, 0.5572698047760286},
+	} {
+		c := NewChaos(ChaosConfig{Seed: tc.seed})
+		if got := c.draw(tc.kind, tc.key, tc.attempt); got != tc.want {
+			t.Errorf("seed %d draw(%q, %q, %d) = %v, want %v", tc.seed, tc.kind, tc.key, tc.attempt, got, tc.want)
+		}
+	}
+}

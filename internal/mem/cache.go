@@ -7,7 +7,6 @@ package mem
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 )
 
 type cacheLine struct {
@@ -31,20 +30,21 @@ type Cache struct {
 	lines    []cacheLine // sets*ways, row-major by set
 	lruClock uint64
 
-	// pending is the MSHR table: in-flight fills as (line, ready) pairs kept
-	// sorted by line address, so lookups are binary searches, iteration order
-	// is deterministic (maps made traced sweep output nondeterministic under
-	// -jobs > 1), and the steady-state loop never allocates — the backing
-	// array is sized to maxMSHR once at construction.
+	// pending is the MSHR table: at most maxMSHR in-flight fills, one per
+	// line, in no particular order. The table is observed only through a
+	// line's entry, the minimum ready cycle and the live count, none of
+	// which depends on order, so lookups scan it and a removal moves the
+	// last entry into the gap. Its backing array is sized to maxMSHR once
+	// at construction, so the steady-state loop never allocates.
 	pending []mshr
 	maxMSHR int
 }
 
 // mshr is one miss-status holding register: an in-flight fill for line
 // completing at cycle ready. Later requests to the same line merge onto it.
-// pref marks fills started by an instruction prefetch; a demand merge onto
-// such a fill counts the prefetch as late (correct but not timely) and
-// consumes the mark.
+// pref marks fills started by an instruction prefetch (PrefetchInst sets
+// it); a demand fetch merging onto such a fill counts the prefetch as late
+// (correct but not timely) and consumes the mark.
 type mshr struct {
 	line  uint64
 	ready uint64
@@ -86,50 +86,47 @@ func (c *Cache) set(lineAddr uint64) []cacheLine {
 	return c.lines[s*c.ways : (s+1)*c.ways]
 }
 
+// way returns lineAddr's way in its set, or nil when the line is absent.
+func (c *Cache) way(lineAddr uint64) *cacheLine {
+	set := c.set(lineAddr)
+	for i := range set {
+		if l := &set[i]; l.valid && l.tag == lineAddr {
+			return l
+		}
+	}
+	return nil
+}
+
 // Lookup probes for lineAddr; on a hit it refreshes LRU state and clears the
 // prefetched bit (returning whether it was set, for prefetch-useful
 // accounting).
 func (c *Cache) Lookup(lineAddr uint64) (hit, wasPrefetched bool) {
-	set := c.set(lineAddr)
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == lineAddr {
-			c.lruClock++
-			l.lru = c.lruClock
-			wasPrefetched = l.prefetched
-			l.prefetched = false
-			return true, wasPrefetched
-		}
+	l := c.way(lineAddr)
+	if l == nil {
+		return false, false
 	}
-	return false, false
+	c.lruClock++
+	l.lru = c.lruClock
+	wasPrefetched = l.prefetched
+	l.prefetched = false
+	return true, wasPrefetched
 }
 
 // Contains probes without touching replacement or prefetch state.
-func (c *Cache) Contains(lineAddr uint64) bool {
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cache) Contains(lineAddr uint64) bool { return c.way(lineAddr) != nil }
 
 // Insert fills lineAddr, evicting the LRU victim. It returns the victim's
 // line address and whether it was dirty (needs writeback). evicted is false
 // when an invalid way was available or the line was already present.
 func (c *Cache) Insert(lineAddr uint64, dirty, prefetched bool) (victim uint64, evicted, victimDirty bool) {
-	set := c.set(lineAddr)
 	c.lruClock++
 	// Already present (e.g. refill racing a demand fill): update flags.
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == lineAddr {
-			l.dirty = l.dirty || dirty
-			l.lru = c.lruClock
-			return 0, false, false
-		}
+	if l := c.way(lineAddr); l != nil {
+		l.dirty = l.dirty || dirty
+		l.lru = c.lruClock
+		return 0, false, false
 	}
+	set := c.set(lineAddr)
 	vi := 0
 	for i := range set {
 		if !set[i].valid {
@@ -148,88 +145,58 @@ func (c *Cache) Insert(lineAddr uint64, dirty, prefetched bool) (victim uint64, 
 
 // MarkDirty sets the dirty bit if the line is present.
 func (c *Cache) MarkDirty(lineAddr uint64) {
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].dirty = true
-			return
-		}
+	if l := c.way(lineAddr); l != nil {
+		l.dirty = true
 	}
 }
 
-// findPending returns the sorted position of lineAddr in the MSHR table
-// and whether an entry for it exists there.
-func (c *Cache) findPending(lineAddr uint64) (int, bool) {
-	i := sort.Search(len(c.pending), func(i int) bool {
-		return c.pending[i].line >= lineAddr
-	})
-	return i, i < len(c.pending) && c.pending[i].line == lineAddr
+// inflight returns lineAddr's in-flight fill, or nil. An entry whose fill
+// completed by now is dropped on the way.
+func (c *Cache) inflight(lineAddr, now uint64) *mshr {
+	for i := range c.pending {
+		m := &c.pending[i]
+		if m.line != lineAddr {
+			continue
+		}
+		if m.ready > now {
+			return m
+		}
+		last := len(c.pending) - 1
+		c.pending[i] = c.pending[last]
+		c.pending = c.pending[:last]
+		return nil
+	}
+	return nil
 }
 
 // Pending returns the completion cycle of an in-flight fill for lineAddr.
 // Entries whose fill completed before now are pruned lazily.
 func (c *Cache) Pending(lineAddr, now uint64) (ready uint64, ok bool) {
-	i, found := c.findPending(lineAddr)
-	if !found {
-		return 0, false
+	if m := c.inflight(lineAddr, now); m != nil {
+		return m.ready, true
 	}
-	if r := c.pending[i].ready; r > now {
-		return r, true
-	}
-	c.pending = append(c.pending[:i], c.pending[i+1:]...)
 	return 0, false
 }
 
-// AddPending records an in-flight fill. It reports false if all MSHRs are
-// busy (the request must retry).
-func (c *Cache) AddPending(lineAddr, ready, now uint64) bool {
-	i, found := c.findPending(lineAddr)
-	if found {
-		c.pending[i].ready = ready
-		return true
+// AddPending records an in-flight fill of lineAddr completing at ready and
+// returns its entry; a line already in the table keeps its entry with the
+// new ready cycle. It returns nil, recording nothing, when every MSHR is
+// still busy after the completed fills are pruned.
+func (c *Cache) AddPending(lineAddr, ready, now uint64) *mshr {
+	for i := range c.pending {
+		if m := &c.pending[i]; m.line == lineAddr {
+			m.ready = ready
+			return m
+		}
 	}
 	if len(c.pending) >= c.maxMSHR {
 		c.prunePending(now)
 		if len(c.pending) >= c.maxMSHR {
-			return false
+			return nil
 		}
-		i, _ = c.findPending(lineAddr)
 	}
-	c.pending = append(c.pending, mshr{})
-	copy(c.pending[i+1:], c.pending[i:])
-	c.pending[i] = mshr{line: lineAddr, ready: ready}
-	return true
-}
-
-// AddPendingPref records an in-flight prefetch fill: like AddPending but
-// the entry carries the prefetch mark that PendingPref later consumes. A
-// merge onto an existing (demand) entry does not set the mark — the demand
-// fill was there first, so the prefetch added nothing.
-func (c *Cache) AddPendingPref(lineAddr, ready, now uint64) bool {
-	if !c.AddPending(lineAddr, ready, now) {
-		return false
-	}
-	if i, found := c.findPending(lineAddr); found {
-		c.pending[i].pref = true
-	}
-	return true
-}
-
-// PendingPref is Pending plus the prefetch-mark handshake: if the in-flight
-// fill was started by a prefetch, pref is true and the mark is consumed so
-// one prefetch is credited as late at most once.
-func (c *Cache) PendingPref(lineAddr, now uint64) (ready uint64, pref, ok bool) {
-	i, found := c.findPending(lineAddr)
-	if !found {
-		return 0, false, false
-	}
-	if r := c.pending[i].ready; r > now {
-		pref = c.pending[i].pref
-		c.pending[i].pref = false
-		return r, pref, true
-	}
-	c.pending = append(c.pending[:i], c.pending[i+1:]...)
-	return 0, false, false
+	c.pending = append(c.pending, mshr{line: lineAddr, ready: ready})
+	return &c.pending[len(c.pending)-1]
 }
 
 func (c *Cache) prunePending(now uint64) {

@@ -271,23 +271,19 @@ func (h *Hierarchy) PrefetchInst(line, now uint64) (issued, full bool) {
 	llcAt := now + uint64(h.cfg.L1ILatency)
 	done, _ := h.accessLLC(line, llcAt, true, true)
 	h.L1I.Insert(line, false, true)
-	h.L1I.AddPendingPref(line, done, now)
+	// The PendingCount check above left an MSHR free.
+	h.L1I.AddPending(line, done, now).pref = true
 	h.St.L1IPrefetches++
 	return true, false
-}
-
-// L1INextPendingReady exposes the earliest L1I fill completion (the idle
-// skip's bound when the FTQ is blocked on full MSHRs).
-func (h *Hierarchy) L1INextPendingReady() (uint64, bool) {
-	return h.L1I.NextPendingReady()
 }
 
 // fetchInstLine is one timed L1I line access: a merge onto an in-flight
 // fill, a hit, or a miss that fills from the LLC. useful and late carry
 // the line's consumed prefetch marks (see FetchInst).
 func (h *Hierarchy) fetchInstLine(line, now uint64) (done uint64, useful, late bool) {
-	if ready, pref, ok := h.L1I.PendingPref(line, now); ok {
-		return max(ready, now+uint64(h.cfg.L1ILatency)), false, pref
+	if m := h.L1I.inflight(line, now); m != nil {
+		late, m.pref = m.pref, false
+		return max(m.ready, now+uint64(h.cfg.L1ILatency)), false, late
 	}
 	if hit, wasPref := h.L1I.Lookup(line); hit {
 		h.St.L1IHits++
@@ -325,7 +321,7 @@ func (h *Hierarchy) accessLLC(line, at uint64, inst, wrongPath bool) (done uint6
 	dramAt := at + uint64(h.cfg.LLCLatency)
 	done = h.DRAM.Access(line*h.cfg.LineBytes, dramAt, false)
 	h.St.DRAMReads++
-	h.insertLLC(line, false)
+	h.insertLLC(line, false, false)
 	h.LLC.AddPending(line, done, at)
 	if !wrongPath && !inst {
 		h.outstanding = append(h.outstanding, outstandingMiss{done: done, line: line})
@@ -350,14 +346,14 @@ func (h *Hierarchy) prefetchLine(line, now uint64) {
 	h.St.PrefetchesIssued++
 	done := h.DRAM.Access(line*h.cfg.LineBytes, now+uint64(h.cfg.LLCLatency), false)
 	h.St.DRAMReads++
-	h.insertLLC(line, true)
+	h.insertLLC(line, false, true)
 	h.LLC.AddPending(line, done, now)
 }
 
 // insertLLC installs a line, issuing a writeback for a dirty victim.
-func (h *Hierarchy) insertLLC(line uint64, prefetched bool) {
-	victim, evicted, dirty := h.LLC.Insert(line, false, prefetched)
-	if evicted && dirty {
+func (h *Hierarchy) insertLLC(line uint64, dirty, prefetched bool) {
+	victim, evicted, victimDirty := h.LLC.Insert(line, dirty, prefetched)
+	if evicted && victimDirty {
 		h.DRAM.Access(victim*h.cfg.LineBytes, 0, true)
 		h.St.DRAMWrites++
 		h.St.WritebacksLLC++
@@ -372,20 +368,11 @@ func (h *Hierarchy) fillL1D(line, done, now uint64, dirty bool) {
 		if h.LLC.Contains(victim) {
 			h.LLC.MarkDirty(victim)
 		} else {
-			h.insertLLCDirty(victim)
+			h.insertLLC(victim, true, false)
 		}
 		h.St.WritebacksL1++
 	}
 	h.L1D.AddPending(line, done, now)
-}
-
-func (h *Hierarchy) insertLLCDirty(line uint64) {
-	victim, evicted, dirty := h.LLC.Insert(line, true, false)
-	if evicted && dirty {
-		h.DRAM.Access(victim*h.cfg.LineBytes, 0, true)
-		h.St.DRAMWrites++
-		h.St.WritebacksLLC++
-	}
 }
 
 // OutstandingLLCMisses returns the number of in-flight demand LLC misses at

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -108,7 +109,7 @@ func TestCachePrefetchedBitClearsOnDemand(t *testing.T) {
 
 func TestCachePendingMSHR(t *testing.T) {
 	c := NewCache("t", 1024, 2, 64, 1, 2)
-	if !c.AddPending(7, 100, 0) {
+	if c.AddPending(7, 100, 0) == nil {
 		t.Fatal("AddPending should succeed")
 	}
 	if ready, ok := c.Pending(7, 50); !ok || ready != 100 {
@@ -121,7 +122,7 @@ func TestCachePendingMSHR(t *testing.T) {
 	// MSHR limit: two live fills block a third.
 	c.AddPending(1, 1000, 0)
 	c.AddPending(2, 1000, 0)
-	if c.AddPending(3, 1000, 0) {
+	if c.AddPending(3, 1000, 0) != nil {
 		t.Fatal("MSHR limit should reject")
 	}
 	if c.PendingCount(0) != 2 {
@@ -385,5 +386,104 @@ func TestQuickMSHRBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMSHRTableMatchesModel drives random adds, lookups, PendingCount and
+// NextPendingReady calls, with an advancing clock, against a 4-MSHR L1I
+// and checks every answer against a map model with the same rules: one
+// entry per line, a re-add moves the ready cycle, a full table prunes
+// completed fills and then refuses, a lookup drops a completed fill, and
+// a prefetch's mark is reported late by the first demand fetch that merges
+// onto it and never again.
+func TestMSHRTableMatchesModel(t *testing.T) {
+	type fill struct {
+		ready uint64
+		pref  bool
+	}
+	const mshrs = 4
+	cfg := Default()
+	cfg.L1IMSHRs = mshrs
+	for seed := int64(1); seed <= 20; seed++ {
+		h := NewHierarchy(cfg, &stats.Stats{})
+		c := h.L1I
+		lat := uint64(cfg.L1ILatency)
+		model := map[uint64]*fill{}
+		prune := func(now uint64) {
+			for line, f := range model {
+				if f.ready <= now {
+					delete(model, line)
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		now := uint64(0)
+		for step := 0; step < 2000; step++ {
+			now += uint64(rng.Intn(4))
+			line := uint64(rng.Intn(12))
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed %d step %d now %d line %d: "+format, append([]any{seed, step, now, line}, args...)...)
+			}
+			switch op := rng.Intn(5); op {
+			case 0, 1: // add; op 1 is a prefetch and marks the entry
+				ready := now + 1 + uint64(rng.Intn(20))
+				f, ok := model[line]
+				if !ok && len(model) >= mshrs {
+					prune(now)
+				}
+				if !ok && len(model) < mshrs {
+					f = &fill{}
+					model[line] = f
+				}
+				want := f != nil
+				if want {
+					f.ready = ready
+					f.pref = f.pref || op == 1
+				}
+				m := c.AddPending(line, ready, now)
+				if m != nil && op == 1 {
+					m.pref = true
+				}
+				if got := m != nil; got != want {
+					fail("add(pref=%v) = %v, want %v", op == 1, got, want)
+				}
+			case 2: // lookup
+				f, ok := model[line]
+				if ok && f.ready <= now {
+					delete(model, line)
+					ok = false
+				}
+				ready, got := c.Pending(line, now)
+				if got != ok || (ok && ready != f.ready) {
+					fail("Pending = (%d, %v), want (%d, %v)", ready, got, f.ready, ok)
+				}
+			case 3: // demand fetch merging onto a live fill consumes its mark
+				f, ok := model[line]
+				if !ok || f.ready <= now {
+					continue
+				}
+				done, useful, late := h.fetchInstLine(line, now)
+				if done != max(f.ready, now+lat) || useful || late != f.pref {
+					fail("fetchInstLine = (%d, %v, %v), want (%d, false, %v)", done, useful, late, max(f.ready, now+lat), f.pref)
+				}
+				f.pref = false
+			case 4: // the earliest ready cycle counts completed fills not yet pruned
+				var want uint64
+				for _, f := range model {
+					if want == 0 || f.ready < want {
+						want = f.ready
+					}
+				}
+				got, ok := c.NextPendingReady()
+				if ok != (len(model) > 0) || got != want {
+					fail("NextPendingReady = (%d, %v), want (%d, %v)", got, ok, want, len(model) > 0)
+				}
+				prune(now)
+				if got := c.PendingCount(now); got != len(model) {
+					fail("PendingCount = %d, want %d", got, len(model))
+				}
+			}
+		}
 	}
 }

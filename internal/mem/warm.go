@@ -6,8 +6,9 @@ import "cdf/internal/stats"
 // at emulation speed, every executed uop touches the hierarchy through the
 // Warm* methods below. They move cache contents, replacement state and
 // prefetcher training exactly like the demand paths, but are timing-free —
-// no MSHRs, no DRAM scheduling, no stats — so the caches an interval core
-// adopts hold the working set the full run would have at that point.
+// no MSHRs, no DRAM scheduling, no stats, and a dirty LLC victim is
+// dropped without a writeback — so the caches an interval core adopts hold
+// the working set the full run would have at that point.
 
 // WarmInst touches the instruction line containing pc: present lines
 // refresh LRU, absent lines fill L1I (and the LLC if also absent there).
@@ -17,7 +18,7 @@ func (h *Hierarchy) WarmInst(pc uint64) {
 		return
 	}
 	if hit := h.warmLookupLLC(line); !hit {
-		h.warmFillLLC(line, false)
+		h.LLC.Insert(line, false, false)
 	}
 	h.L1I.Insert(line, false, false)
 }
@@ -40,13 +41,13 @@ func (h *Hierarchy) WarmLoad(addr uint64) (llcMiss bool) {
 	}
 	llcHit := h.warmLookupLLC(line)
 	if !llcHit {
-		h.warmFillLLC(line, false)
+		h.LLC.Insert(line, false, false)
 	}
 	h.warmFillL1D(line, false)
 	if h.Pref != nil {
 		for _, pl := range h.Pref.OnMiss(line) {
 			if !h.LLC.Contains(pl) {
-				h.warmFillLLC(pl, true)
+				h.LLC.Insert(pl, false, true)
 			}
 		}
 	}
@@ -63,7 +64,7 @@ func (h *Hierarchy) WarmStore(addr uint64) (llcMiss bool) {
 	}
 	llcHit := h.warmLookupLLC(line)
 	if !llcHit {
-		h.warmFillLLC(line, false)
+		h.LLC.Insert(line, false, false)
 	}
 	h.warmFillL1D(line, true)
 	return !llcHit
@@ -84,7 +85,7 @@ func (h *Hierarchy) WarmWrongLoad(addr uint64) {
 		return
 	}
 	if hit, _ := h.LLC.Lookup(line); !hit {
-		h.warmFillLLC(line, false)
+		h.LLC.Insert(line, false, false)
 	}
 	h.warmFillL1D(line, false)
 }
@@ -101,12 +102,6 @@ func (h *Hierarchy) warmLookupLLC(line uint64) (hit bool) {
 		h.Pref.OnPrefetchUseful()
 	}
 	return hit
-}
-
-// warmFillLLC installs a line in the LLC without DRAM timing or stats.
-// Dirty victims are dropped: only contents matter during warming.
-func (h *Hierarchy) warmFillLLC(line uint64, prefetched bool) {
-	h.LLC.Insert(line, false, prefetched)
 }
 
 // warmFillL1D installs a line in L1D, propagating dirty victims into the

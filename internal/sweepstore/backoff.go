@@ -3,7 +3,6 @@ package sweepstore
 import (
 	"context"
 	"errors"
-	"hash/fnv"
 	"time"
 
 	"cdf/internal/harness"
@@ -74,7 +73,7 @@ func (b Backoff) Delay(key string, attempt int) time.Duration {
 	if d > float64(b.Cap) {
 		d = float64(b.Cap)
 	}
-	u := unit(b.Seed, key, attempt)
+	u := harness.Draw(b.Seed, key, attempt)
 	d = d * (1 - b.Jitter + b.Jitter*u)
 	return time.Duration(d)
 }
@@ -90,30 +89,6 @@ func (b Backoff) Sleep(ctx context.Context, key string, attempt int) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// unit hashes (seed, key, attempt) to a uniform float in [0,1).
-func unit(seed uint64, key string, attempt int) float64 {
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(seed >> (8 * i))
-		buf[8+i] = byte(uint64(attempt) >> (8 * i))
-	}
-	h.Write(buf[:])
-	h.Write([]byte(key))
-	return float64(mix64(h.Sum64())>>11) / float64(1<<53)
-}
-
-// mix64 is a splitmix64-style finalizer: FNV's high bits are weakly mixed
-// for short inputs, and the uniform draw uses exactly those bits.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }
 
 // Retryable classifies a failed run: true for the transient failure

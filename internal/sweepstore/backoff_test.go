@@ -78,6 +78,28 @@ func TestBackoffDeterministic(t *testing.T) {
 	}
 }
 
+// TestBackoffJitterPinned pins a few jittered delays, so a change to the
+// seeded draw behind them (harness.Draw) shows as a failure here.
+func TestBackoffJitterPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed    uint64
+		key     string
+		attempt int
+		want    time.Duration
+	}{
+		{0, "mcf/cdf", 0, 63256529},
+		{1, "mcf/cdf", 1, 153959696},
+		{3, "astar/baseline", 2, 372459036},
+		{11, "lbm/pre", 0, 52338764},
+		{11, "lbm/pre", 4, 1281946737},
+	} {
+		b := Backoff{Base: 100 * time.Millisecond, Cap: 5 * time.Second, Factor: 2, Jitter: 0.5, Seed: tc.seed}
+		if got := b.Delay(tc.key, tc.attempt); got != tc.want {
+			t.Errorf("seed %d Delay(%q, %d) = %d, want %d", tc.seed, tc.key, tc.attempt, got, tc.want)
+		}
+	}
+}
+
 // TestBackoffBudgetExhaustedInOrder drives a retry loop the way
 // cdf.CaseExecutor does and checks the budget is consumed attempt by
 // attempt, in order, with the delays following the capped schedule.
