@@ -2,9 +2,19 @@ package branch
 
 import (
 	"testing"
+	"unsafe"
 
+	"cdf/internal/assoc"
 	"cdf/internal/isa"
 )
+
+// TestWayLayout keeps a BTB way at 32 bytes, the size of the entry it
+// replaced: a tag, a stamp, the valid bit and the target.
+func TestWayLayout(t *testing.T) {
+	if n := unsafe.Sizeof(assoc.Way[uint64]{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(assoc.Way[uint64]{}) = %d bytes, want 32", n)
+	}
+}
 
 func TestTageHistoryLengthsGeometric(t *testing.T) {
 	tg := NewTage(DefaultTage())

@@ -1,6 +1,9 @@
 package branch
 
-import "cdf/internal/isa"
+import (
+	"cdf/internal/assoc"
+	"cdf/internal/isa"
+)
 
 // BTBConfig sizes the branch target buffer.
 type BTBConfig struct {
@@ -11,19 +14,10 @@ type BTBConfig struct {
 // DefaultBTB returns a 4K-entry 4-way BTB.
 func DefaultBTB() BTBConfig { return BTBConfig{Entries: 4096, Ways: 4} }
 
-type btbEntry struct {
-	valid  bool
-	tag    uint64
-	target uint64
-	lru    uint64
-}
-
-// BTB is a set-associative branch target buffer.
+// BTB is a set-associative branch target buffer; a way's payload is the
+// branch target.
 type BTB struct {
-	sets    int
-	ways    int
-	entries []btbEntry
-	clock   uint64
+	entries assoc.Table[uint64]
 
 	Hits   uint64
 	Misses uint64
@@ -31,65 +25,42 @@ type BTB struct {
 
 // NewBTB builds a BTB.
 func NewBTB(cfg BTBConfig) *BTB {
-	sets := cfg.Entries / cfg.Ways
-	return &BTB{sets: sets, ways: cfg.Ways, entries: make([]btbEntry, sets*cfg.Ways)}
+	return &BTB{entries: assoc.New[uint64](cfg.Entries/cfg.Ways, cfg.Ways)}
 }
 
-func (b *BTB) set(pc uint64) []btbEntry {
-	s := int((pc >> 3) % uint64(b.sets))
-	return b.entries[s*b.ways : (s+1)*b.ways]
-}
+func (b *BTB) set(pc uint64) int { return int((pc >> 3) % uint64(b.entries.Sets())) }
 
 // Lookup returns the predicted target for the branch at pc.
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {
-	set := b.set(pc)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.tag == pc {
-			b.clock++
-			e.lru = b.clock
-			b.Hits++
-			return e.target, true
-		}
+	if e := b.entries.Find(b.set(pc), pc); e != nil {
+		b.entries.Touch(e)
+		b.Hits++
+		return e.V, true
 	}
 	b.Misses++
 	return 0, false
 }
 
 // Probe returns the target for the branch at pc without touching LRU state
-// or the hit/miss counters. The decoupled frontend walker uses it to gate
-// its lookahead on BTB reach without perturbing the demand path's
+// or the hit/miss counters. The decoupled frontend walker and the shadow
+// BTB's backup lookup use it so that neither perturbs the demand path's
 // replacement decisions.
 func (b *BTB) Probe(pc uint64) (target uint64, ok bool) {
-	set := b.set(pc)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.tag == pc {
-			return e.target, true
-		}
+	if e := b.entries.Find(b.set(pc), pc); e != nil {
+		return e.V, true
 	}
 	return 0, false
 }
 
 // Update installs or refreshes the target for the branch at pc.
 func (b *BTB) Update(pc, target uint64) {
-	set := b.set(pc)
-	b.clock++
-	vi := 0
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.tag == pc {
-			e.target = target
-			e.lru = b.clock
-			return
-		}
-		if !set[i].valid {
-			vi = i
-		} else if set[vi].valid && set[i].lru < set[vi].lru {
-			vi = i
-		}
+	e, hit := b.entries.Slot(b.set(pc), pc)
+	if !hit {
+		b.entries.Fill(e, pc, target)
+		return
 	}
-	set[vi] = btbEntry{valid: true, tag: pc, target: target, lru: b.clock}
+	e.V = target
+	b.entries.Touch(e)
 }
 
 // RAS is the return address stack.

@@ -1,5 +1,7 @@
 package cdf
 
+import "cdf/internal/assoc"
+
 // CountTable is a Critical Count Table (§3.2): a small set-associative table
 // keyed by instruction PC, with two saturating counters per entry — one with
 // a strict threshold, one permissive. Counters increment on a "critical
@@ -7,8 +9,6 @@ package cdf
 // otherwise. Which counter drives prediction is selected dynamically from
 // the measured critical-instruction density.
 type CountTable struct {
-	sets, ways int
-
 	strictMax, strictThresh int
 	permMax, permThresh     int
 	// incStep is the increment applied on a critical event (decrements are
@@ -18,24 +18,18 @@ type CountTable struct {
 	// "hard-to-predict" means against TAGE) still saturate.
 	incStep int
 
-	entries []cctEntry
-	clock   uint64
+	entries assoc.Table[counters]
 
 	// usePermissive selects the permissive counters for prediction; flipped
 	// by the density controller.
 	usePermissive bool
 
-	Updates     uint64
-	Predictions uint64
-	HitsCrit    uint64
+	Updates uint64
 }
 
-type cctEntry struct {
-	valid  bool
-	tag    uint64
-	strict int
-	perm   int
-	lru    uint64
+// counters is an entry's payload: its strict and permissive counters.
+type counters struct {
+	strict, perm int
 }
 
 // NewCountTable builds a count table from the per-kind parameters. incStep
@@ -45,11 +39,10 @@ func NewCountTable(entries, ways, strictMax, strictThresh, permMax, permThresh, 
 		incStep = 1
 	}
 	return &CountTable{
-		sets: entries / ways, ways: ways,
 		strictMax: strictMax, strictThresh: strictThresh,
 		permMax: permMax, permThresh: permThresh,
 		incStep: incStep,
-		entries: make([]cctEntry, entries),
+		entries: assoc.New[counters](entries/ways, ways),
 	}
 }
 
@@ -59,43 +52,24 @@ func (t *CountTable) UsePermissive(p bool) { t.usePermissive = p }
 // Permissive reports which counter set drives predictions.
 func (t *CountTable) Permissive() bool { return t.usePermissive }
 
-func (t *CountTable) set(pc uint64) []cctEntry {
-	s := int((pc >> 3) % uint64(t.sets))
-	return t.entries[s*t.ways : (s+1)*t.ways]
-}
+func (t *CountTable) set(pc uint64) int { return int((pc >> 3) % uint64(t.entries.Sets())) }
 
 // Update trains the entry for pc: critical=true increments both counters,
 // false decrements. Missing entries are allocated (evicting LRU).
 func (t *CountTable) Update(pc uint64, critical bool) {
 	t.Updates++
-	t.clock++
-	set := t.set(pc)
-	var e *cctEntry
-	for i := range set {
-		if set[i].valid && set[i].tag == pc {
-			e = &set[i]
-			break
-		}
-	}
-	if e == nil {
+	w, hit := t.entries.Slot(t.set(pc), pc)
+	switch {
+	case hit:
+		t.entries.Touch(w)
+	case critical:
+		t.entries.Fill(w, pc, counters{})
+	default:
 		// Only allocate on a critical event; tracking never-critical PCs
 		// wastes the tiny table.
-		if !critical {
-			return
-		}
-		e = &set[0]
-		for i := range set {
-			if !set[i].valid {
-				e = &set[i]
-				break
-			}
-			if set[i].lru < e.lru {
-				e = &set[i]
-			}
-		}
-		*e = cctEntry{valid: true, tag: pc}
+		return
 	}
-	e.lru = t.clock
+	e := &w.V
 	if critical {
 		if e.strict += t.incStep; e.strict > t.strictMax {
 			e.strict = t.strictMax
@@ -115,20 +89,12 @@ func (t *CountTable) Update(pc uint64, critical bool) {
 
 // Predict reports whether the instruction at pc is predicted critical.
 func (t *CountTable) Predict(pc uint64) bool {
-	t.Predictions++
-	set := t.set(pc)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.tag == pc {
-			crit := e.strict >= t.strictThresh
-			if t.usePermissive {
-				crit = e.perm >= t.permThresh
-			}
-			if crit {
-				t.HitsCrit++
-			}
-			return crit
-		}
+	w := t.entries.Find(t.set(pc), pc)
+	if w == nil {
+		return false
 	}
-	return false
+	if t.usePermissive {
+		return w.V.perm >= t.permThresh
+	}
+	return w.V.strict >= t.strictThresh
 }

@@ -1,5 +1,7 @@
 package cdf
 
+import "cdf/internal/assoc"
+
 // Trace is one Critical Uop Cache entry: the critical uops of one basic
 // block, stored as a bit mask over the block's uop positions, plus the
 // metadata the CDF frontend needs to compute the next fetch address (§3.2):
@@ -25,63 +27,36 @@ type Trace struct {
 // counter (the associativity search itself is per-trace — a documented
 // simplification, since the workloads' blocks rarely exceed one line).
 type UopCache struct {
-	sets, ways int
-	lineUops   int
-	maxLines   int
-	usedLines  int
-	entries    []cucEntry
-	clock      uint64
+	lineUops  int
+	maxLines  int
+	usedLines int
+	traces    assoc.Table[Trace] // tagged by BlockPC
 
-	Hits      uint64
-	Misses    uint64
-	Installs  uint64
 	Evictions uint64
-}
-
-type cucEntry struct {
-	valid bool
-	trace Trace
-	lru   uint64
 }
 
 // NewUopCache builds a Critical Uop Cache with totalLines capacity.
 func NewUopCache(totalLines, ways, lineUops int) *UopCache {
-	sets := totalLines / ways
-	return &UopCache{
-		sets: sets, ways: ways, lineUops: lineUops, maxLines: totalLines,
-		entries: make([]cucEntry, sets*ways),
-	}
+	return &UopCache{lineUops: lineUops, maxLines: totalLines, traces: assoc.New[Trace](totalLines/ways, ways)}
 }
 
-func (c *UopCache) set(blockPC uint64) []cucEntry {
-	s := int((blockPC >> 3) % uint64(c.sets))
-	return c.entries[s*c.ways : (s+1)*c.ways]
-}
+func (c *UopCache) set(blockPC uint64) int { return int((blockPC >> 3) % uint64(c.traces.Sets())) }
 
 // Lookup returns the trace for the block starting at blockPC.
 func (c *UopCache) Lookup(blockPC uint64) (Trace, bool) {
-	set := c.set(blockPC)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.trace.BlockPC == blockPC {
-			c.clock++
-			e.lru = c.clock
-			c.Hits++
-			return e.trace, true
-		}
+	w := c.traces.Find(c.set(blockPC), blockPC)
+	if w == nil {
+		return Trace{}, false
 	}
-	c.Misses++
-	return Trace{}, false
+	c.traces.Touch(w)
+	return w.V, true
 }
 
-// Probe returns the trace without updating LRU or hit/miss counters
-// (observe-only marking uses it so stats stay clean).
+// Probe returns the trace without updating LRU (observe-only marking uses
+// it so replacement stays clean).
 func (c *UopCache) Probe(blockPC uint64) (Trace, bool) {
-	set := c.set(blockPC)
-	for i := range set {
-		if set[i].valid && set[i].trace.BlockPC == blockPC {
-			return set[i].trace, true
-		}
+	if w := c.traces.Find(c.set(blockPC), blockPC); w != nil {
+		return w.V, true
 	}
 	return Trace{}, false
 }
@@ -98,74 +73,42 @@ func (c *UopCache) Install(t Trace) int {
 	if t.Lines == 0 {
 		t.Lines = 1
 	}
-	set := c.set(t.BlockPC)
-	c.clock++
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.trace.BlockPC == t.BlockPC {
-			c.usedLines += t.Lines - e.trace.Lines
-			e.trace = t
-			e.lru = c.clock
-			c.Installs++
-			return t.Lines
-		}
+	w, hit := c.traces.Slot(c.set(t.BlockPC), t.BlockPC)
+	if hit {
+		c.usedLines += t.Lines - w.V.Lines
+		w.V = t
+		c.traces.Touch(w)
+		return t.Lines
 	}
-	victim := &set[0]
-	for i := range set {
-		e := &set[i]
-		if !e.valid {
-			victim = e
-			break
-		}
-		if e.lru < victim.lru {
-			victim = e
-		}
+	if w.Valid {
+		c.evict(w)
 	}
-	if victim.valid {
-		c.usedLines -= victim.trace.Lines
-		c.Evictions++
-	}
-	*victim = cucEntry{valid: true, trace: t, lru: c.clock}
+	c.traces.Fill(w, t.BlockPC, t)
 	c.usedLines += t.Lines
-	c.Installs++
 	// Global capacity pressure: evict LRU entries while over budget (traces
 	// larger than one line can push occupancy past the line count even when
 	// every set has free ways).
 	for c.usedLines > c.maxLines {
-		c.evictGlobalLRU(t.BlockPC)
+		v := c.traces.Oldest(t.BlockPC)
+		if v == nil {
+			break
+		}
+		c.evict(v)
 	}
 	return t.Lines
 }
 
-func (c *UopCache) evictGlobalLRU(keep uint64) {
-	var victim *cucEntry
-	for i := range c.entries {
-		e := &c.entries[i]
-		if !e.valid || e.trace.BlockPC == keep {
-			continue
-		}
-		if victim == nil || e.lru < victim.lru {
-			victim = e
-		}
-	}
-	if victim == nil {
-		return
-	}
-	c.usedLines -= victim.trace.Lines
+func (c *UopCache) evict(w *assoc.Way[Trace]) {
+	c.usedLines -= w.V.Lines
 	c.Evictions++
-	*victim = cucEntry{}
+	w.Valid = false
 }
 
 // Remove invalidates the block's trace (density-gate rejection).
 func (c *UopCache) Remove(blockPC uint64) {
-	set := c.set(blockPC)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.trace.BlockPC == blockPC {
-			c.usedLines -= e.trace.Lines
-			*e = cucEntry{}
-			return
-		}
+	if w := c.traces.Find(c.set(blockPC), blockPC); w != nil {
+		c.usedLines -= w.V.Lines
+		w.Valid = false
 	}
 }
 

@@ -1,90 +1,54 @@
 package cdf
 
+import "cdf/internal/assoc"
+
 // MaskCache stores one 64-bit criticality mask per basic block (§3.2,
 // "Mask Cache"). Masks accumulate critical uops seen for the same block on
 // different control flow paths, which is what keeps register dependence
 // violations rare. The cache is periodically reset so masks from dead
 // control-flow paths decay.
 type MaskCache struct {
-	sets, ways int
-	entries    []maskEntry
-	clock      uint64
+	entries assoc.Table[uint64] // tagged by block start PC; the payload is the mask
 
 	Resets uint64
 }
 
-type maskEntry struct {
-	valid bool
-	tag   uint64 // basic-block start PC
-	mask  uint64
-	lru   uint64
-}
-
 // NewMaskCache builds a mask cache with the given geometry.
 func NewMaskCache(entries, ways int) *MaskCache {
-	return &MaskCache{sets: entries / ways, ways: ways, entries: make([]maskEntry, entries)}
+	return &MaskCache{entries: assoc.New[uint64](entries/ways, ways)}
 }
 
-func (m *MaskCache) set(blockPC uint64) []maskEntry {
-	s := int((blockPC >> 3) % uint64(m.sets))
-	return m.entries[s*m.ways : (s+1)*m.ways]
-}
+func (m *MaskCache) set(blockPC uint64) int { return int((blockPC >> 3) % uint64(m.entries.Sets())) }
 
 // Get returns the accumulated mask for the block starting at blockPC.
 func (m *MaskCache) Get(blockPC uint64) (mask uint64, ok bool) {
-	set := m.set(blockPC)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.tag == blockPC {
-			m.clock++
-			e.lru = m.clock
-			return e.mask, true
-		}
+	if w := m.entries.Find(m.set(blockPC), blockPC); w != nil {
+		m.entries.Touch(w)
+		return w.V, true
 	}
 	return 0, false
 }
 
 // Merge ORs mask into the block's entry, allocating if needed.
 func (m *MaskCache) Merge(blockPC, mask uint64) {
-	set := m.set(blockPC)
-	m.clock++
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.tag == blockPC {
-			e.mask |= mask
-			e.lru = m.clock
-			return
-		}
+	w, hit := m.entries.Slot(m.set(blockPC), blockPC)
+	if !hit {
+		m.entries.Fill(w, blockPC, mask)
+		return
 	}
-	victim := &set[0]
-	for i := range set {
-		e := &set[i]
-		if !e.valid {
-			victim = e
-			break
-		}
-		if e.lru < victim.lru {
-			victim = e
-		}
-	}
-	*victim = maskEntry{valid: true, tag: blockPC, mask: mask, lru: m.clock}
+	w.V |= mask
+	m.entries.Touch(w)
 }
 
 // Remove invalidates the block's entry (density-gate rejection, §3.2).
 func (m *MaskCache) Remove(blockPC uint64) {
-	set := m.set(blockPC)
-	for i := range set {
-		if set[i].valid && set[i].tag == blockPC {
-			set[i] = maskEntry{}
-			return
-		}
+	if w := m.entries.Find(m.set(blockPC), blockPC); w != nil {
+		w.Valid = false
 	}
 }
 
 // Reset clears every mask (periodic decay, every 200k instructions).
 func (m *MaskCache) Reset() {
-	for i := range m.entries {
-		m.entries[i] = maskEntry{}
-	}
+	m.entries.Reset()
 	m.Resets++
 }

@@ -186,7 +186,7 @@ func (c *Core) predictAndCheck(e *entry, rec *streamRec) (mispredicted bool) {
 	}
 	if dyn.Taken && !pr.TargetHit {
 		if c.fr != nil && c.fr.shadow != nil {
-			if t, ok := c.fr.shadow.Backup(dyn.PC); ok && t == dyn.NextPC {
+			if t, ok := c.fr.shadow.Probe(dyn.PC); ok && t == dyn.NextPC {
 				// A shadow branch decoded from an already-fetched line
 				// supplies the target: no re-steer bubble.
 				c.st.ShadowBTBHits++

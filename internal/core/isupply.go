@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cdf/internal/branch"
 	"cdf/internal/front"
 	"cdf/internal/mem/prefetch"
 )
@@ -31,10 +32,10 @@ const maxShadowPending = 4
 // intervals (like the branch predictor); the walker and the shadow-decode
 // queue are per-core and start empty.
 type frontEng struct {
-	fdip   *front.FDIP      // nil unless cfg.Front.FDIP
-	thr    *prefetch.FDP    // nil unless cfg.Front.FDIP
-	shadow *front.ShadowBTB // nil unless cfg.Front.ShadowBTB
-	dec    *front.Decoder   // nil unless cfg.Front.ShadowBTB
+	fdip   *front.FDIP    // nil unless cfg.Front.FDIP
+	thr    *prefetch.FDP  // nil unless cfg.Front.FDIP
+	shadow *branch.BTB    // nil unless cfg.Front.ShadowBTB
+	dec    *front.Decoder // nil unless cfg.Front.ShadowBTB
 
 	// Lines fetched this cycle, decoded into the shadow BTB at the start
 	// of the next (the one-cycle decode delay: a prediction made in the
@@ -91,7 +92,7 @@ func (c *Core) frontCycle() {
 	if fr.pendShadowN > 0 {
 		for i := 0; i < fr.pendShadowN; i++ {
 			for _, sb := range fr.dec.Line(fr.pendShadow[i]) {
-				fr.shadow.Insert(sb)
+				fr.shadow.Update(sb.PC, sb.Target)
 				c.st.ShadowBTBInserts++
 			}
 		}

@@ -46,7 +46,12 @@ type Warmer struct {
 	// shadow branches from each distinct fetched line (mirroring the timed
 	// path, minus the one-cycle delay timing cannot matter for) but issues
 	// no prefetches, so the throttle's counters stay frozen by construction.
-	frontShadow *front.ShadowBTB
+	// The shadow BTB is a second, larger BTB filled only by decoding
+	// fetched lines, never by branch resolution: the main BTB's replacement
+	// churn does not touch it, so targets survive there long after capacity
+	// evicts them from the primary structure. That retention is the reach
+	// extension.
+	frontShadow *branch.BTB
 	frontDec    *front.Decoder
 	frontThr    *prefetch.FDP
 
@@ -81,7 +86,7 @@ func NewWarmer(cfg Config, p *prog.Program) (*Warmer, error) {
 		wpRate: float64(wpMissBudgetPerEpisode),
 	}
 	if cfg.Front.Enabled && cfg.Front.ShadowBTB {
-		w.frontShadow = front.NewShadowBTB(cfg.Front)
+		w.frontShadow = branch.NewBTB(branch.BTBConfig{Entries: cfg.Front.ShadowEntries, Ways: cfg.Front.ShadowWays})
 		w.frontDec = front.NewDecoder(p, cfg.Mem.LineBytes)
 	}
 	if cfg.Front.Enabled && cfg.Front.FDIP {
@@ -163,7 +168,7 @@ func (w *Warmer) ObserveMemCrit(d *emu.DynUop, mispredict bool) {
 		w.hier.WarmInst(d.PC)
 		if w.frontShadow != nil {
 			for _, sb := range w.frontDec.Line(line) {
-				w.frontShadow.Insert(sb)
+				w.frontShadow.Update(sb.PC, sb.Target)
 			}
 		}
 		w.lastILine, w.haveILine = line, true

@@ -1,7 +1,6 @@
 package front
 
 import (
-	"cdf/internal/branch"
 	"cdf/internal/isa"
 	"cdf/internal/prog"
 )
@@ -43,44 +42,3 @@ func NewDecoder(p *prog.Program, lineBytes uint64) *Decoder {
 
 // Line returns the shadow branches in the given cache line (nil if none).
 func (d *Decoder) Line(line uint64) []ShadowBranch { return d.byLine[line] }
-
-// ShadowBTB is the shadow branch target buffer: a second, larger BTB filled
-// exclusively by decoding fetched lines rather than by branch resolution.
-// The main BTB's replacement churn does not touch it, so targets survive
-// there long after capacity evicts them from the primary structure —
-// that retention is the reach extension.
-type ShadowBTB struct {
-	btb *branch.BTB
-
-	Inserts uint64 // decode-path insert operations (including refreshes)
-	Hits    uint64 // successful backup probes on main-BTB target misses
-	Probes  uint64 // backup probes attempted
-}
-
-// NewShadowBTB builds the shadow BTB sized by cfg.
-func NewShadowBTB(cfg Config) *ShadowBTB {
-	return &ShadowBTB{btb: branch.NewBTB(branch.BTBConfig{Entries: cfg.ShadowEntries, Ways: cfg.ShadowWays})}
-}
-
-// Insert records a decoded shadow branch.
-func (s *ShadowBTB) Insert(sb ShadowBranch) {
-	s.Inserts++
-	s.btb.Update(sb.PC, sb.Target)
-}
-
-// Probe looks up a target without counting it as a backup probe; the FDIP
-// walker uses this form.
-func (s *ShadowBTB) Probe(pc uint64) (target uint64, ok bool) {
-	return s.btb.Probe(pc)
-}
-
-// Backup is the demand-path probe: the main BTB missed the target for a
-// taken branch at pc, and the shadow BTB gets a chance to supply it.
-func (s *ShadowBTB) Backup(pc uint64) (target uint64, ok bool) {
-	s.Probes++
-	target, ok = s.btb.Probe(pc)
-	if ok {
-		s.Hits++
-	}
-	return target, ok
-}

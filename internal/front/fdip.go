@@ -37,7 +37,7 @@ type FDIP struct {
 	lineBytes uint64
 	oracle    Oracle
 	btb       *branch.BTB
-	shadow    *ShadowBTB // nil without shadow decoding
+	shadow    *branch.BTB // nil without shadow decoding
 
 	ring []uint64 // FTQ line-address ring buffer
 	head int
@@ -49,7 +49,7 @@ type FDIP struct {
 }
 
 // NewFDIP builds the walker. shadow may be nil.
-func NewFDIP(cfg Config, lineBytes uint64, oracle Oracle, btb *branch.BTB, shadow *ShadowBTB) *FDIP {
+func NewFDIP(cfg Config, lineBytes uint64, oracle Oracle, btb, shadow *branch.BTB) *FDIP {
 	return &FDIP{
 		cfg:       cfg,
 		lineBytes: lineBytes,

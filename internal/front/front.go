@@ -5,9 +5,10 @@
 // from already-fetched cache lines.
 //
 // The package holds the frontend's own state machines (fetch-target queue,
-// lookahead walker, accuracy throttle, shadow BTB, static line decoder);
-// internal/core owns the clock and drives them once per cycle, and
-// internal/mem owns the instruction-side cache port they feed. The timed
+// lookahead walker, accuracy throttle, static line decoder); the shadow BTB
+// is a second branch.BTB. internal/core owns the clock and drives them once
+// per cycle, and internal/mem owns the instruction-side cache port they
+// feed. The timed
 // L1I itself is not part of this package: every machine fetches through
 // it. With Config.Enabled false (the default) none of this exists, and
 // with Enabled true and every feature off the machine times the same.

@@ -1,34 +1,31 @@
 // Package mem implements the cache hierarchy: set-associative write-back
-// caches with LRU replacement and MSHR-style pending-fill merging, arranged
-// as split L1I/L1D over a shared LLC over DRAM, with a stream prefetcher
-// trained on L1D demand misses.
+// caches with MSHR-style pending-fill merging, arranged as split L1I/L1D
+// over a shared LLC over DRAM, with a stream prefetcher trained on L1D
+// demand misses. Tag lookup and LRU replacement live in internal/assoc.
 package mem
 
 import (
 	"fmt"
 	"math/bits"
+
+	"cdf/internal/assoc"
 )
 
-type cacheLine struct {
-	tag        uint64
-	valid      bool
+// lineState is a cache way's payload.
+type lineState struct {
 	dirty      bool
 	prefetched bool // filled by a prefetch and not yet demanded
-	lru        uint64
 }
 
 // Cache is one set-associative cache level. Timing is handled by the
 // Hierarchy; Cache only tracks contents, replacement, and pending fills.
 type Cache struct {
 	Name      string
-	sets      int
-	ways      int
 	lineShift uint   // log2 of the line size
 	setMask   uint64 // sets-1: the set index is the line address's low bits
 	hitLat    int
 
-	lines    []cacheLine // sets*ways, row-major by set
-	lruClock uint64
+	lines assoc.Table[lineState]
 
 	// pending is the MSHR table: at most maxMSHR in-flight fills, one per
 	// line, in no particular order. The table is observed only through a
@@ -64,37 +61,24 @@ func NewCache(name string, sizeBytes, ways int, lineBytes uint64, hitLat, mshrs 
 	}
 	return &Cache{
 		Name:      name,
-		sets:      sets,
-		ways:      ways,
 		lineShift: uint(bits.TrailingZeros64(lineBytes)),
 		setMask:   uint64(sets - 1),
 		hitLat:    hitLat,
-		lines:     make([]cacheLine, sets*ways),
+		lines:     assoc.New[lineState](sets, ways),
 		pending:   make([]mshr, 0, mshrs),
 		maxMSHR:   mshrs,
 	}
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return c.lines.Sets() }
 
 // LineAddr converts a byte address to a line address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 
-func (c *Cache) set(lineAddr uint64) []cacheLine {
-	s := int(lineAddr & c.setMask)
-	return c.lines[s*c.ways : (s+1)*c.ways]
-}
-
-// way returns lineAddr's way in its set, or nil when the line is absent.
-func (c *Cache) way(lineAddr uint64) *cacheLine {
-	set := c.set(lineAddr)
-	for i := range set {
-		if l := &set[i]; l.valid && l.tag == lineAddr {
-			return l
-		}
-	}
-	return nil
+// way returns lineAddr's way, or nil when the line is absent.
+func (c *Cache) way(lineAddr uint64) *assoc.Way[lineState] {
+	return c.lines.Find(int(lineAddr&c.setMask), lineAddr)
 }
 
 // Lookup probes for lineAddr; on a hit it refreshes LRU state and clears the
@@ -105,10 +89,9 @@ func (c *Cache) Lookup(lineAddr uint64) (hit, wasPrefetched bool) {
 	if l == nil {
 		return false, false
 	}
-	c.lruClock++
-	l.lru = c.lruClock
-	wasPrefetched = l.prefetched
-	l.prefetched = false
+	c.lines.Touch(l)
+	wasPrefetched = l.V.prefetched
+	l.V.prefetched = false
 	return true, wasPrefetched
 }
 
@@ -119,34 +102,22 @@ func (c *Cache) Contains(lineAddr uint64) bool { return c.way(lineAddr) != nil }
 // line address and whether it was dirty (needs writeback). evicted is false
 // when an invalid way was available or the line was already present.
 func (c *Cache) Insert(lineAddr uint64, dirty, prefetched bool) (victim uint64, evicted, victimDirty bool) {
-	c.lruClock++
-	// Already present (e.g. refill racing a demand fill): update flags.
-	if l := c.way(lineAddr); l != nil {
-		l.dirty = l.dirty || dirty
-		l.lru = c.lruClock
+	l, hit := c.lines.Slot(int(lineAddr&c.setMask), lineAddr)
+	if hit {
+		// Already present (e.g. refill racing a demand fill): update flags.
+		l.V.dirty = l.V.dirty || dirty
+		c.lines.Touch(l)
 		return 0, false, false
 	}
-	set := c.set(lineAddr)
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			vi = i
-			break
-		}
-		if set[i].lru < set[vi].lru {
-			vi = i
-		}
-	}
-	v := &set[vi]
-	victim, evicted, victimDirty = v.tag, v.valid, v.valid && v.dirty
-	*v = cacheLine{tag: lineAddr, valid: true, dirty: dirty, prefetched: prefetched, lru: c.lruClock}
+	victim, evicted, victimDirty = l.Tag, l.Valid, l.Valid && l.V.dirty
+	c.lines.Fill(l, lineAddr, lineState{dirty: dirty, prefetched: prefetched})
 	return victim, evicted, victimDirty
 }
 
 // MarkDirty sets the dirty bit if the line is present.
 func (c *Cache) MarkDirty(lineAddr uint64) {
 	if l := c.way(lineAddr); l != nil {
-		l.dirty = true
+		l.V.dirty = true
 	}
 }
 

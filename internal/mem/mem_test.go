@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"cdf/internal/assoc"
 	"cdf/internal/stats"
 )
 
@@ -485,5 +487,14 @@ func TestMSHRTableMatchesModel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWayLayout keeps a cache way at 24 bytes, the size of the line record
+// it replaced: the stamp sits before the valid bit so the two flag bytes
+// pack with it, and every LLC line pays for any growth.
+func TestWayLayout(t *testing.T) {
+	if n := unsafe.Sizeof(assoc.Way[lineState]{}); n != 24 {
+		t.Fatalf("unsafe.Sizeof(assoc.Way[lineState]{}) = %d bytes, want 24", n)
 	}
 }

@@ -3,6 +3,8 @@
 // (64 streams, always on, FDP-throttled).
 package prefetch
 
+import "cdf/internal/assoc"
+
 // Config controls the stream prefetcher.
 type Config struct {
 	Streams     int    // stream table entries
@@ -27,21 +29,19 @@ func Default() Config {
 	}
 }
 
-type streamEntry struct {
-	valid    bool
-	region   uint64
+// stream is a stream table entry's payload; its tag is the training
+// region.
+type stream struct {
 	lastLine uint64
 	dir      int64 // +1 ascending, -1 descending, 0 untrained
 	conf     int
-	lru      uint64
 }
 
 // Stream is the stream prefetcher. It is trained on demand-miss line
 // addresses and returns the line addresses to prefetch.
 type Stream struct {
 	cfg   Config
-	table []streamEntry
-	clock uint64
+	table assoc.Table[stream] // one fully associative set
 	fdp   FDP
 
 	// out is OnMiss's reused result buffer.
@@ -53,7 +53,7 @@ type Stream struct {
 
 // New returns a stream prefetcher for cfg.
 func New(cfg Config) *Stream {
-	return &Stream{cfg: cfg, table: make([]streamEntry, cfg.Streams),
+	return &Stream{cfg: cfg, table: assoc.New[stream](1, cfg.Streams),
 		fdp: NewFDP(cfg.MinDegree, cfg.MaxDegree, cfg.Interval)}
 }
 
@@ -65,13 +65,14 @@ func (s *Stream) Degree() int { return s.fdp.Degree() }
 // the next call reuses: consume it before calling again.
 func (s *Stream) OnMiss(lineAddr uint64) []uint64 {
 	region := (lineAddr * s.cfg.LineBytes) >> s.cfg.RegionBits
-	s.clock++
-
-	e := s.lookup(region, lineAddr)
-	if e == nil {
+	w, hit := s.table.Slot(0, region)
+	if !hit {
+		// A new region takes a fresh entry starting at lineAddr.
+		s.table.Fill(w, region, stream{lastLine: lineAddr})
 		return nil
 	}
-	e.lru = s.clock
+	s.table.Touch(w)
+	e := &w.V
 
 	switch {
 	case lineAddr == e.lastLine+1:
@@ -117,33 +118,6 @@ func (s *Stream) OnMiss(lineAddr uint64) []uint64 {
 	}
 	s.out = out
 	return out
-}
-
-// lookup returns the valid entry tracking region. On a miss it gives the
-// region a fresh entry starting at lineAddr and returns nil; the victim is
-// the first invalid entry, else the least recently used one, ties to the
-// lowest index. One scan finds the region and the victim together.
-func (s *Stream) lookup(region, lineAddr uint64) *streamEntry {
-	invalid, lru := -1, 0
-	for i := range s.table {
-		t := &s.table[i]
-		switch {
-		case !t.valid:
-			if invalid < 0 {
-				invalid = i
-			}
-		case t.region == region:
-			return t
-		case t.lru < s.table[lru].lru:
-			lru = i
-		}
-	}
-	victim := lru
-	if invalid >= 0 {
-		victim = invalid
-	}
-	s.table[victim] = streamEntry{valid: true, region: region, lastLine: lineAddr, lru: s.clock}
-	return nil
 }
 
 // Freeze suspends (or resumes) FDP feedback. Functional warming trains

@@ -1,6 +1,19 @@
 package prefetch
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+
+	"cdf/internal/assoc"
+)
+
+// TestWayLayout keeps a stream table way at 48 bytes, the size of the
+// entry it replaced: OnMiss scans all 64 ways on every trained L1D miss.
+func TestWayLayout(t *testing.T) {
+	if n := unsafe.Sizeof(assoc.Way[stream]{}); n != 48 {
+		t.Fatalf("unsafe.Sizeof(assoc.Way[stream]{}) = %d bytes, want 48", n)
+	}
+}
 
 func TestStreamDetectsAscending(t *testing.T) {
 	s := New(Default())
@@ -144,55 +157,6 @@ func TestRepeatMissIsNoSignal(t *testing.T) {
 	}
 	if s.fdp.TotalIssued != before {
 		t.Fatal("repeat miss should not count as issued")
-	}
-}
-
-// TestStreamVictimChoice pins which table entry a miss in a new region
-// takes: the first invalid entry, else the least recently used one, ties
-// to the lowest index; a miss in a tracked region replaces nothing.
-func TestStreamVictimChoice(t *testing.T) {
-	const regionLines = 64 // 4 KB regions of 64-byte lines
-	type ent struct {
-		valid  bool
-		region uint64
-		lru    uint64
-	}
-	for _, tc := range []struct {
-		name   string
-		table  []ent
-		region uint64
-		want   int // index that must now track region
-	}{
-		{"empty table", []ent{{}, {}, {}, {}}, 9, 0},
-		{"first invalid, not the lowest LRU", []ent{{true, 1, 1}, {true, 2, 2}, {}, {}}, 9, 2},
-		{"invalid after a lower LRU", []ent{{true, 1, 5}, {true, 2, 1}, {true, 3, 7}, {}}, 9, 3},
-		{"invalid at index 0", []ent{{}, {true, 2, 1}, {true, 3, 1}, {true, 4, 1}}, 9, 0},
-		{"least recently used", []ent{{true, 1, 5}, {true, 2, 3}, {true, 3, 7}, {true, 4, 4}}, 9, 1},
-		{"LRU tie to the lowest index", []ent{{true, 1, 5}, {true, 2, 2}, {true, 3, 7}, {true, 4, 2}}, 9, 1},
-		{"tracked region", []ent{{true, 1, 5}, {true, 9, 6}, {}, {true, 3, 1}}, 9, 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Default()
-			cfg.Streams = len(tc.table)
-			s := New(cfg)
-			for i, e := range tc.table {
-				s.table[i] = streamEntry{valid: e.valid, region: e.region, lastLine: e.region*regionLines + 30, lru: e.lru}
-			}
-			s.clock = 10
-			s.OnMiss(tc.region*regionLines + 7)
-			for i, e := range tc.table {
-				got := s.table[i]
-				if i == tc.want {
-					if !got.valid || got.region != tc.region || got.lru != 11 {
-						t.Fatalf("entry %d = %+v, want region %d used at clock 11", i, got, tc.region)
-					}
-					continue
-				}
-				if got.valid != e.valid || got.region != e.region || got.lru != e.lru {
-					t.Fatalf("entry %d changed to %+v", i, got)
-				}
-			}
-		})
 	}
 }
 
