@@ -83,10 +83,11 @@ cli-flags:
 	scripts/cli_flags.sh
 
 # The evaluation's output: every experiment at a short fixed-seed budget
-# (-uops 10000 -seed 1 -format markdown) must print exactly
-# scripts/experiments.golden.md, so a refactor of the experiment layer is
-# checked byte for byte and a modelling change shows its table deltas in
-# the diff (scripts/experiments.sh -update rewrites it). ~10 s on 2 vCPUs.
+# (-uops 50000 -seed 1 -format markdown, the shortest at which CDF's
+# columns move off +0.0%) must print exactly scripts/experiments.golden.md,
+# so a refactor of the experiment layer is checked byte for byte and a
+# modelling change shows its table deltas in the diff
+# (scripts/experiments.sh -update rewrites it). ~21 s on 2 vCPUs.
 experiments-check:
 	scripts/experiments.sh
 
