@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"cdf/internal/report"
 	"cdf/internal/stats"
 )
 
@@ -168,6 +169,31 @@ func TestTable1ConfigRendersParameters(t *testing.T) {
 			t.Fatalf("Table 1 rendering missing %q:\n%s", want, s)
 		}
 	}
+}
+
+// TestExperimentRowsRender renders a zero row of every experiment row
+// type, so a field added without a col tag fails here, not in the
+// cdfexperiments command.
+func TestExperimentRowsRender(t *testing.T) {
+	check := func(tb *report.Table) {
+		if len(tb.Columns) < 2 || len(tb.Rows) != 2 {
+			t.Errorf("%s: %d columns, %d rows; want at least 2 columns and a row plus the geomean",
+				tb.Title, len(tb.Columns), len(tb.Rows))
+		}
+	}
+	check(report.FromRows("Table1Row", "", []Table1Row{{}}, true))
+	check(report.FromRows("Fig1Row", "", []Fig1Row{{}}, true))
+	check(report.FromRows("Fig13Row", "", []Fig13Row{{}}, true))
+	check(report.FromRows("Fig14Row", "", []Fig14Row{{}}, true))
+	check(report.FromRows("Fig15Row", "", []Fig15Row{{}}, true))
+	check(report.FromRows("Fig16Row", "", []Fig16Row{{}}, true))
+	check(report.FromRows("Fig17Row", "", []Fig17Row{{}}, true))
+	check(report.FromRows("AblationRow", "", []AblationRow{{}}, true))
+	check(report.FromRows("FrontRow", "", []FrontRow{{}}, true))
+	check(report.FromRows("HybridRow", "", []HybridRow{{}}, true))
+	check(report.FromRows("PartitionAblationRow", "", []PartitionAblationRow{{}}, true))
+	check(report.FromRows("MaskAblationRow", "", []MaskAblationRow{{}}, true))
+	check(report.FromRows("CUCSweepRow", "", []CUCSweepRow{{}}, true))
 }
 
 // geo computes a geomean whose inputs the test has already validated, so

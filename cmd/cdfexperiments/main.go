@@ -43,7 +43,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -57,35 +56,54 @@ import (
 	"cdf/internal/sweepstore"
 )
 
-// geomean adapts cdf.Geomean for table cells: a degenerate aggregate
-// (empty after failures, or a zero-IPC row) becomes NaN, which the report
-// formatters render as "n/a"; the run's sweep error reports why.
-func geomean(vs []float64) float64 {
-	g, err := cdf.Geomean(vs)
-	if err != nil {
-		return math.NaN()
-	}
-	return g
-}
-
+// experiments are the tables the command prints, in -exp all order. Each
+// row type's col tags declare its table's columns (report.FromRows).
 var experiments = []struct {
 	name string
 	desc string
-	run  func(o cdf.SuiteOptions) ([]*report.Table, error)
+	run  func(o cdf.SuiteOptions) (*report.Table, error)
 }{
-	{"table1", "Table 1: simulation parameters", runTable1},
-	{"fig1", "Fig. 1: ROB occupancy during full-window stalls", runFig1},
-	{"fig13", "Fig. 13: IPC improvement over baseline", runFig13},
-	{"fig14", "Fig. 14: MLP relative to baseline", runFig14},
-	{"fig15", "Fig. 15: memory traffic relative to baseline", runFig15},
-	{"fig16", "Fig. 16: energy relative to baseline", runFig16},
-	{"fig17", "Fig. 17: window scaling", runFig17},
-	{"ablation", "§4.2 ablation: no critical-branch marking", runAblation},
-	{"hybrid", "§6 extension: CDF + Runahead hybrid", runHybrid},
-	{"partition", "§3.5 ablation: dynamic vs static partitioning", runPartition},
-	{"maskcache", "§3.6 ablation: Mask Cache", runMaskCache},
-	{"cucsweep", "Critical Uop Cache capacity sensitivity", runCUCSweep},
-	{"front", "DESIGN.md §13: instruction supply (FDIP recovery, shadow-BTB reach)", runFront},
+	{"table1", "Table 1: simulation parameters", table(func(cdf.SuiteOptions) ([]cdf.Table1Row, error) { return cdf.Table1(), nil },
+		"Table 1: simulation parameters", "", false)},
+	{"fig1", "Fig. 1: ROB occupancy during full-window stalls", table(cdf.Fig1ROBOccupancy,
+		"Fig. 1: ROB occupancy during full-window stalls (baseline)",
+		"paper: critical instructions are 10-40% of the dynamic footprint", false)},
+	{"fig13", "Fig. 13: IPC improvement over baseline", table(cdf.Fig13Speedup,
+		"Fig. 13: IPC improvement over baseline", "paper geomeans: CDF +6.1%, PRE +2.6%", true)},
+	{"fig14", "Fig. 14: MLP relative to baseline", table(cdf.Fig14MLP,
+		"Fig. 14: MLP relative to baseline",
+		"paper: PRE's MLP gains include wrong-path loads that do not convert to speedup", false)},
+	{"fig15", "Fig. 15: memory traffic relative to baseline", table(cdf.Fig15Traffic,
+		"Fig. 15: memory traffic relative to baseline", "paper: CDF generates ~4% less extra traffic than PRE", true)},
+	{"fig16", "Fig. 16: energy relative to baseline", table(cdf.Fig16Energy,
+		"Fig. 16: energy relative to baseline", "paper geomeans: CDF 0.965x, PRE 1.037x", true)},
+	{"fig17", "Fig. 17: window scaling", table(func(o cdf.SuiteOptions) ([]cdf.Fig17Row, error) { return cdf.Fig17Scaling(o, nil) },
+		"Fig. 17: window scaling (relative to the 352-entry baseline)",
+		"paper: an area-matched scaled baseline gains only 3.7% IPC and 2.5% energy", false)},
+	{"ablation", "§4.2 ablation: no critical-branch marking", table(cdf.AblationNoCriticalBranches,
+		"§4.2 ablation: no critical-branch marking", "paper: geomean falls from +6.1% to +3.8%", true)},
+	{"hybrid", "§6 extension: CDF + Runahead hybrid", table(cdf.HybridComparison,
+		"§6 extension: CDF + Runahead hybrid", "the hybrid should capture the better of CDF/PRE per benchmark", true)},
+	{"partition", "§3.5 ablation: dynamic vs static partitioning", table(cdf.AblationStaticPartition,
+		"§3.5 ablation: dynamic vs static partitioning", "paper: dynamic partitioning significantly improves CDF", true)},
+	{"maskcache", "§3.6 ablation: Mask Cache", table(cdf.AblationNoMaskCache,
+		"§3.6 ablation: Mask Cache vs per-walk masks", "paper: the Mask Cache keeps register dependence violations rare", false)},
+	{"cucsweep", "Critical Uop Cache capacity sensitivity", table(func(o cdf.SuiteOptions) ([]cdf.CUCSweepRow, error) { return cdf.SweepCUCSize(o, nil) },
+		"Critical Uop Cache capacity sensitivity", "Table 1 sizes the CUC at 18KB", false)},
+	{"front", "DESIGN.md §13: instruction supply (FDIP recovery, shadow-BTB reach)", table(cdf.FrontSupply,
+		"Instruction supply (DESIGN.md §13): FDIP recovery and shadow-BTB reach",
+		"recovery = share of the perfect-L1I IPC gap closed (acceptance floor 0.5); "+
+			"btb-stall columns are fetch_stall_btb cycles per kuop with FDIP, without vs with shadow decoding", false)},
+}
+
+// table adapts a typed experiment to the registry: its rows, even those of
+// a partly failed sweep, become one table (report.FromRows), with a
+// geomean row when geo is set.
+func table[R any](exp func(cdf.SuiteOptions) ([]R, error), title, note string, geo bool) func(cdf.SuiteOptions) (*report.Table, error) {
+	return func(o cdf.SuiteOptions) (*report.Table, error) {
+		rows, err := exp(o)
+		return report.FromRows(title, note, rows, geo), err
+	}
 }
 
 // main delegates to run so that deferred cleanup — profile flush and,
@@ -220,17 +238,15 @@ func run() int {
 			continue
 		}
 		ran = true
-		tables, err := e.run(o)
+		t, err := e.run(o)
 		// Partial tables are still worth printing: failed benchmarks are
 		// simply absent from them.
-		for _, t := range tables {
-			out, rerr := t.Render(*format)
-			if rerr != nil {
-				fmt.Fprintln(os.Stderr, "cdfexperiments:", rerr)
-				return 2
-			}
-			fmt.Println(out)
+		out, rerr := t.Render(*format)
+		if rerr != nil {
+			fmt.Fprintln(os.Stderr, "cdfexperiments:", rerr)
+			return 2
 		}
+		fmt.Println(out)
 		if err != nil {
 			failed = true
 			reportFailure(e.name, err)
@@ -281,193 +297,4 @@ func indent(s, prefix string) string {
 		lines[i] = prefix + l
 	}
 	return strings.Join(lines, "\n")
-}
-
-func runTable1(cdf.SuiteOptions) ([]*report.Table, error) {
-	t := &report.Table{
-		Title:   "Table 1: simulation parameters",
-		Columns: []string{"component", "configuration"},
-	}
-	for _, line := range strings.Split(strings.TrimRight(cdf.Table1Config(), "\n"), "\n") {
-		key := strings.TrimSpace(line[:10])
-		t.AddRow(key, strings.TrimSpace(line[10:]))
-	}
-	return []*report.Table{t}, nil
-}
-
-func runFig1(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.Fig1ROBOccupancy(o)
-	t := &report.Table{
-		Title:   "Fig. 1: ROB occupancy during full-window stalls (baseline)",
-		Note:    "paper: critical instructions are 10-40% of the dynamic footprint",
-		Columns: []string{"benchmark", "critical", "non-critical", "stall-cycles"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Benchmark, report.Frac(r.CriticalFrac), report.Frac(r.NonCriticalFrac),
-			fmt.Sprintf("%d", r.StallCycles))
-	}
-	return []*report.Table{t}, err
-}
-
-// ratioTable fills t with one row per benchmark — the ratios cells picks
-// out of a result row, rendered with format — and, when geo is set, a
-// geomean row per column.
-func ratioTable[R any](t *report.Table, format func(float64) string, geo bool, rows []R, cells func(R) (string, []float64)) []*report.Table {
-	cols := make([][]float64, len(t.Columns)-1)
-	for _, r := range rows {
-		name, vs := cells(r)
-		line := []string{name}
-		for i, v := range vs {
-			line = append(line, format(v))
-			cols[i] = append(cols[i], v)
-		}
-		t.AddRow(line...)
-	}
-	if geo {
-		line := []string{"geomean"}
-		for _, c := range cols {
-			line = append(line, format(geomean(c)))
-		}
-		t.AddRow(line...)
-	}
-	return []*report.Table{t}
-}
-
-func runFig13(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.Fig13Speedup(o)
-	return ratioTable(&report.Table{
-		Title:   "Fig. 13: IPC improvement over baseline",
-		Note:    "paper geomeans: CDF +6.1%, PRE +2.6%",
-		Columns: []string{"benchmark", "CDF", "PRE"},
-	}, report.Pct, true, rows, func(r cdf.Fig13Row) (string, []float64) {
-		return r.Benchmark, []float64{r.CDFSpeedup, r.PRESpeedup}
-	}), err
-}
-
-func runFig14(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.Fig14MLP(o)
-	return ratioTable(&report.Table{
-		Title:   "Fig. 14: MLP relative to baseline",
-		Note:    "paper: PRE's MLP gains include wrong-path loads that do not convert to speedup",
-		Columns: []string{"benchmark", "CDF", "PRE"},
-	}, report.Rel, false, rows, func(r cdf.Fig14Row) (string, []float64) {
-		return r.Benchmark, []float64{r.CDFMLPRel, r.PREMLPRel}
-	}), err
-}
-
-func runFig15(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.Fig15Traffic(o)
-	return ratioTable(&report.Table{
-		Title:   "Fig. 15: memory traffic relative to baseline",
-		Note:    "paper: CDF generates ~4% less extra traffic than PRE",
-		Columns: []string{"benchmark", "CDF", "PRE"},
-	}, report.Rel, true, rows, func(r cdf.Fig15Row) (string, []float64) {
-		return r.Benchmark, []float64{r.CDFTrafficRel, r.PRETrafficRel}
-	}), err
-}
-
-func runFig16(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.Fig16Energy(o)
-	return ratioTable(&report.Table{
-		Title:   "Fig. 16: energy relative to baseline",
-		Note:    "paper geomeans: CDF 0.965x, PRE 1.037x",
-		Columns: []string{"benchmark", "CDF", "PRE"},
-	}, report.Rel, true, rows, func(r cdf.Fig16Row) (string, []float64) {
-		return r.Benchmark, []float64{r.CDFEnergyRel, r.PREEnergyRel}
-	}), err
-}
-
-func runFig17(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.Fig17Scaling(o, nil)
-	t := &report.Table{
-		Title:   "Fig. 17: window scaling (relative to the 352-entry baseline)",
-		Note:    "paper: an area-matched scaled baseline gains only 3.7% IPC and 2.5% energy",
-		Columns: []string{"ROB", "baseline IPC", "CDF IPC", "baseline energy", "CDF energy"},
-	}
-	for _, r := range rows {
-		t.AddRow(fmt.Sprintf("%d", r.ROBSize),
-			report.Rel(r.BaselineIPCRel), report.Rel(r.CDFIPCRel),
-			report.Rel(r.BaselineEnergyRel), report.Rel(r.CDFEnergyRel))
-	}
-	return []*report.Table{t}, err
-}
-
-func runAblation(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.AblationNoCriticalBranches(o)
-	return ratioTable(&report.Table{
-		Title:   "§4.2 ablation: no critical-branch marking",
-		Note:    "paper: geomean falls from +6.1% to +3.8%",
-		Columns: []string{"benchmark", "CDF", "CDF (no critical branches)"},
-	}, report.Pct, true, rows, func(r cdf.AblationRow) (string, []float64) {
-		return r.Benchmark, []float64{r.CDFSpeedup, r.NoCritBranchSpeedup}
-	}), err
-}
-
-func runHybrid(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.HybridComparison(o)
-	return ratioTable(&report.Table{
-		Title:   "§6 extension: CDF + Runahead hybrid",
-		Note:    "the hybrid should capture the better of CDF/PRE per benchmark",
-		Columns: []string{"benchmark", "CDF", "PRE", "hybrid"},
-	}, report.Pct, true, rows, func(r cdf.HybridRow) (string, []float64) {
-		return r.Benchmark, []float64{r.CDFSpeedup, r.PRESpeedup, r.HybridSpeedup}
-	}), err
-}
-
-func runPartition(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.AblationStaticPartition(o)
-	return ratioTable(&report.Table{
-		Title:   "§3.5 ablation: dynamic vs static partitioning",
-		Note:    "paper: dynamic partitioning significantly improves CDF",
-		Columns: []string{"benchmark", "dynamic", "static"},
-	}, report.Pct, true, rows, func(r cdf.PartitionAblationRow) (string, []float64) {
-		return r.Benchmark, []float64{r.DynamicSpeedup, r.StaticSpeedup}
-	}), err
-}
-
-func runMaskCache(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.AblationNoMaskCache(o)
-	t := &report.Table{
-		Title:   "§3.6 ablation: Mask Cache vs per-walk masks",
-		Note:    "paper: the Mask Cache keeps register dependence violations rare",
-		Columns: []string{"benchmark", "with", "without", "violations", "violations (no MC)"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Benchmark, report.Pct(r.Speedup), report.Pct(r.NoMaskSpeedup),
-			fmt.Sprintf("%d", r.Violations), fmt.Sprintf("%d", r.NoMaskViolations))
-	}
-	return []*report.Table{t}, err
-}
-
-func runCUCSweep(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.SweepCUCSize(o, nil)
-	t := &report.Table{
-		Title:   "Critical Uop Cache capacity sensitivity",
-		Note:    "Table 1 sizes the CUC at 18KB",
-		Columns: []string{"CUC KB", "CDF geomean"},
-	}
-	for _, r := range rows {
-		t.AddRow(fmt.Sprintf("%d", r.CUCKB), report.Pct(r.CDFSpeedup))
-	}
-	return []*report.Table{t}, err
-}
-
-func runFront(o cdf.SuiteOptions) ([]*report.Table, error) {
-	rows, err := cdf.FrontSupply(o)
-	t := &report.Table{
-		Title: "Instruction supply (DESIGN.md §13): FDIP recovery and shadow-BTB reach",
-		Note: "recovery = share of the perfect-L1I IPC gap closed (acceptance floor 0.5); " +
-			"btb-stall columns are fetch_stall_btb cycles per kuop with FDIP, without vs with shadow decoding",
-		Columns: []string{"benchmark", "timing", "+fdip", "+fdip+shadow", "perfect-l1i",
-			"l1i-mpki", "recovery", "recovery+shadow", "btb-stall", "btb-stall+shadow"},
-	}
-	for _, r := range rows {
-		t.AddRow(r.Benchmark,
-			fmt.Sprintf("%.3f", r.TimingIPC), fmt.Sprintf("%.3f", r.FDIPIPC),
-			fmt.Sprintf("%.3f", r.ShadowIPC), fmt.Sprintf("%.3f", r.PerfectIPC),
-			fmt.Sprintf("%.1f", r.L1IMPKI),
-			report.Frac(r.Recovery), report.Frac(r.RecoveryShadow),
-			fmt.Sprintf("%.1f", r.BTBStallFDIP), fmt.Sprintf("%.1f", r.BTBStallShadow))
-	}
-	return []*report.Table{t}, err
 }

@@ -144,30 +144,40 @@ func perKernel[R any](o SuiteOptions, benches []string, variants []variant, row 
 
 // --- Table 1 ---
 
-// Table1Config renders the simulated machine configuration (the paper's
-// Table 1).
-func Table1Config() string {
+// Table1Row is one line of the paper's Table 1; Component is empty on a
+// component's second and later lines.
+type Table1Row struct {
+	Component     string `col:"component"`
+	Configuration string `col:"configuration"`
+}
+
+// Table1 lists the simulated machine configuration (the paper's Table 1),
+// read from core.Default.
+func Table1() []Table1Row {
 	cfg := core.Default()
+	m, c := cfg.Mem, cfg.CDF
+	return []Table1Row{
+		{"Core", fmt.Sprintf("3.2 GHz, %d-wide issue, TAGE predictor", cfg.Width)},
+		{"", fmt.Sprintf("%d Entry ROB, %d Entry Reservation Station", cfg.ROBSize, cfg.RSSize)},
+		{"", fmt.Sprintf("%d Entry Load & %d Entry Store Queues, %d PRF", cfg.LQSize, cfg.SQSize, cfg.PRFSize)},
+		{"Caches", fmt.Sprintf("%dKB %d-way L1 I-cache & D-cache, %d-cycle access", m.L1DSizeBytes/1024, m.L1DWays, m.L1DLatency)},
+		{"", fmt.Sprintf("%dMB %d-way LLC cache, %d-cycle access, %dB lines", m.LLCSizeBytes/1024/1024, m.LLCWays, m.LLCLatency, m.LineBytes)},
+		{"Prefetch", fmt.Sprintf("Stream Prefetcher, %d Streams (always on), FDP throttling", m.Prefetch.Streams)},
+		{"Memory", fmt.Sprintf("DDR4_2400R-class: %d channels, %d bank groups x %d banks", m.DRAM.Channels, m.DRAM.BankGroups, m.DRAM.BanksPerGroup)},
+		{"", fmt.Sprintf("tRP-tCL-tRCD: %d-%d-%d CPU cycles", m.DRAM.TRP, m.DRAM.TCL, m.DRAM.TRCD)},
+		{"CDF", fmt.Sprintf("%d-entry %d-way Critical Count Tables", c.CCTEntries, c.CCTWays)},
+		{"", fmt.Sprintf("%dKB %d-way Mask Cache", c.MaskEntries*8/1024, c.MaskWays)},
+		{"", fmt.Sprintf("%dKB %d-way Critical Uop Cache, %d uops per entry", c.CUCLines*64/1024, c.CUCWays, c.CUCLineUops)},
+		{"", fmt.Sprintf("%d-entry Fill Buffer, %d-entry Delayed Branch Queue, %d-entry Critical Map Queue", c.FillBufferSize, c.DBQSize, c.CMQSize)},
+	}
+}
+
+// Table1Config renders Table1 as text, one line per row.
+func Table1Config() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Core      3.2 GHz, %d-wide issue, TAGE predictor\n", cfg.Width)
-	fmt.Fprintf(&sb, "          %d Entry ROB, %d Entry Reservation Station\n", cfg.ROBSize, cfg.RSSize)
-	fmt.Fprintf(&sb, "          %d Entry Load & %d Entry Store Queues, %d PRF\n", cfg.LQSize, cfg.SQSize, cfg.PRFSize)
-	fmt.Fprintf(&sb, "Caches    %dKB %d-way L1 I-cache & D-cache, %d-cycle access\n",
-		cfg.Mem.L1DSizeBytes/1024, cfg.Mem.L1DWays, cfg.Mem.L1DLatency)
-	fmt.Fprintf(&sb, "          %dMB %d-way LLC cache, %d-cycle access, %dB lines\n",
-		cfg.Mem.LLCSizeBytes/1024/1024, cfg.Mem.LLCWays, cfg.Mem.LLCLatency, cfg.Mem.LineBytes)
-	fmt.Fprintf(&sb, "Prefetch  Stream Prefetcher, %d Streams (always on), FDP throttling\n",
-		cfg.Mem.Prefetch.Streams)
-	fmt.Fprintf(&sb, "Memory    DDR4_2400R-class: %d channels, %d bank groups x %d banks\n",
-		cfg.Mem.DRAM.Channels, cfg.Mem.DRAM.BankGroups, cfg.Mem.DRAM.BanksPerGroup)
-	fmt.Fprintf(&sb, "          tRP-tCL-tRCD: %d-%d-%d CPU cycles\n",
-		cfg.Mem.DRAM.TRP, cfg.Mem.DRAM.TCL, cfg.Mem.DRAM.TRCD)
-	fmt.Fprintf(&sb, "CDF       %d-entry %d-way Critical Count Tables\n", cfg.CDF.CCTEntries, cfg.CDF.CCTWays)
-	fmt.Fprintf(&sb, "          %dKB %d-way Mask Cache\n", cfg.CDF.MaskEntries*8/1024, cfg.CDF.MaskWays)
-	fmt.Fprintf(&sb, "          %dKB %d-way Critical Uop Cache, %d uops per entry\n",
-		cfg.CDF.CUCLines*64/1024, cfg.CDF.CUCWays, cfg.CDF.CUCLineUops)
-	fmt.Fprintf(&sb, "          %d-entry Fill Buffer, %d-entry Delayed Branch Queue, %d-entry Critical Map Queue\n",
-		cfg.CDF.FillBufferSize, cfg.CDF.DBQSize, cfg.CDF.CMQSize)
+	for _, r := range Table1() {
+		fmt.Fprintf(&sb, "%-10s%s\n", r.Component, r.Configuration)
+	}
 	return sb.String()
 }
 
@@ -176,10 +186,10 @@ func Table1Config() string {
 // Fig1Row is one bar of Fig. 1: the split of ROB entries between critical
 // and non-critical uops during full-window stalls on the baseline core.
 type Fig1Row struct {
-	Benchmark       string
-	CriticalFrac    float64
-	NonCriticalFrac float64
-	StallCycles     uint64
+	Benchmark       string  `col:"benchmark"`
+	CriticalFrac    float64 `col:"critical,frac"`
+	NonCriticalFrac float64 `col:"non-critical,frac"`
+	StallCycles     uint64  `col:"stall-cycles"`
 }
 
 // Fig1ROBOccupancy reproduces Fig. 1 on the baseline core with observe-only
@@ -202,9 +212,9 @@ func Fig1ROBOccupancy(o SuiteOptions) ([]Fig1Row, error) {
 // Fig13Row is one benchmark's bars in Fig. 13: percentage IPC improvement
 // of CDF and PRE over the baseline.
 type Fig13Row struct {
-	Benchmark  string
-	CDFSpeedup float64 // e.g. 1.061 = +6.1%
-	PRESpeedup float64
+	Benchmark  string  `col:"benchmark"`
+	CDFSpeedup float64 `col:"CDF,pct"` // e.g. 1.061 = +6.1%
+	PRESpeedup float64 `col:"PRE,pct"`
 }
 
 // Fig13Speedup reproduces Fig. 13: per-benchmark CDF and PRE speedups over
@@ -239,9 +249,9 @@ func Fig13Geomean(rows []Fig13Row) (cdfGeo, preGeo float64, err error) {
 
 // Fig14Row is one benchmark's bars in Fig. 14: MLP relative to baseline.
 type Fig14Row struct {
-	Benchmark string
-	CDFMLPRel float64
-	PREMLPRel float64
+	Benchmark string  `col:"benchmark"`
+	CDFMLPRel float64 `col:"CDF,rel"`
+	PREMLPRel float64 `col:"PRE,rel"`
 }
 
 // Fig14MLP reproduces Fig. 14: memory-level parallelism of CDF and PRE
@@ -262,9 +272,9 @@ func Fig14MLP(o SuiteOptions) ([]Fig14Row, error) {
 // Fig15Row is one benchmark's bars in Fig. 15: DRAM traffic relative to
 // baseline.
 type Fig15Row struct {
-	Benchmark     string
-	CDFTrafficRel float64
-	PRETrafficRel float64
+	Benchmark     string  `col:"benchmark"`
+	CDFTrafficRel float64 `col:"CDF,rel"`
+	PRETrafficRel float64 `col:"PRE,rel"`
 }
 
 // Fig15Traffic reproduces Fig. 15: memory traffic relative to the baseline
@@ -287,9 +297,9 @@ func Fig15Traffic(o SuiteOptions) ([]Fig15Row, error) {
 
 // Fig16Row is one benchmark's bars in Fig. 16: energy relative to baseline.
 type Fig16Row struct {
-	Benchmark    string
-	CDFEnergyRel float64
-	PREEnergyRel float64
+	Benchmark    string  `col:"benchmark"`
+	CDFEnergyRel float64 `col:"CDF,rel"`
+	PREEnergyRel float64 `col:"PRE,rel"`
 }
 
 // Fig16Energy reproduces Fig. 16: energy consumption relative to the
@@ -307,11 +317,11 @@ func Fig16Energy(o SuiteOptions) ([]Fig16Row, error) {
 // the baseline and CDF cores, relative to the 352-entry baseline, with the
 // other window structures scaled proportionally.
 type Fig17Row struct {
-	ROBSize           int
-	BaselineIPCRel    float64
-	CDFIPCRel         float64
-	BaselineEnergyRel float64
-	CDFEnergyRel      float64
+	ROBSize           int     `col:"ROB"`
+	BaselineIPCRel    float64 `col:"baseline IPC,rel"`
+	CDFIPCRel         float64 `col:"CDF IPC,rel"`
+	BaselineEnergyRel float64 `col:"baseline energy,rel"`
+	CDFEnergyRel      float64 `col:"CDF energy,rel"`
 }
 
 // DefaultFig17Sizes are the window scaling points.
@@ -377,9 +387,9 @@ func Fig17Scaling(o SuiteOptions, robSizes []int) ([]Fig17Row, error) {
 // AblationRow compares full CDF against CDF without critical-branch marking
 // for one benchmark.
 type AblationRow struct {
-	Benchmark           string
-	CDFSpeedup          float64
-	NoCritBranchSpeedup float64
+	Benchmark           string  `col:"benchmark"`
+	CDFSpeedup          float64 `col:"CDF,pct"`
+	NoCritBranchSpeedup float64 `col:"CDF (no critical branches),pct"`
 }
 
 // AblationNoCriticalBranches reproduces the §4.2 ablation: disabling
@@ -401,18 +411,18 @@ func AblationNoCriticalBranches(o SuiteOptions) ([]AblationRow, error) {
 // much of the perfect-L1I gap FDIP recovers, and how much of the
 // BTB-miss-driven fetch-stall time shadow-branch decoding removes.
 type FrontRow struct {
-	Benchmark string
+	Benchmark string `col:"benchmark"`
 
 	// IPC per variant: the plain timed L1I; + FDIP; + FDIP and
 	// shadow-branch decoding; and the perfect-L1I upper bound.
-	TimingIPC  float64
-	FDIPIPC    float64
-	ShadowIPC  float64
-	PerfectIPC float64
+	TimingIPC  float64 `col:"timing,%.3f"`
+	FDIPIPC    float64 `col:"+fdip,%.3f"`
+	ShadowIPC  float64 `col:"+fdip+shadow,%.3f"`
+	PerfectIPC float64 `col:"perfect-l1i,%.3f"`
 
 	// L1IMPKI is the timing variant's demand L1I miss rate — the size of
 	// the problem FDIP is asked to hide.
-	L1IMPKI float64
+	L1IMPKI float64 `col:"l1i-mpki,%.1f"`
 
 	// Recovery is (FDIP − timing) / (perfect − timing): the fraction of
 	// the instruction-supply IPC gap the prefetcher closes. The PR's
@@ -420,13 +430,13 @@ type FrontRow struct {
 	// same fraction with shadow-branch decoding extending the walker's
 	// reach — the number that matters on BTB-capacity-bound code, where
 	// plain FDIP cannot see past taken branches the BTB has evicted.
-	Recovery       float64
-	RecoveryShadow float64
+	Recovery       float64 `col:"recovery,frac"`
+	RecoveryShadow float64 `col:"recovery+shadow,frac"`
 
 	// BTBStallFDIP/BTBStallShadow are fetch_stall_btb cycles (per kilo-uop)
 	// without and with shadow-branch decoding, both on top of FDIP.
-	BTBStallFDIP   float64
-	BTBStallShadow float64
+	BTBStallFDIP   float64 `col:"btb-stall,%.1f"`
+	BTBStallShadow float64 `col:"btb-stall+shadow,%.1f"`
 }
 
 // frontVariants are the four machines FrontSupply compares, all on the

@@ -15,10 +15,10 @@ import "fmt"
 
 // HybridRow compares CDF, PRE and the hybrid machine on one benchmark.
 type HybridRow struct {
-	Benchmark     string
-	CDFSpeedup    float64
-	PRESpeedup    float64
-	HybridSpeedup float64
+	Benchmark     string  `col:"benchmark"`
+	CDFSpeedup    float64 `col:"CDF,pct"`
+	PRESpeedup    float64 `col:"PRE,pct"`
+	HybridSpeedup float64 `col:"hybrid,pct"`
 }
 
 // HybridComparison runs the §6 extension: CDF plus runahead on non-CDF
@@ -40,9 +40,9 @@ func HybridComparison(o SuiteOptions) ([]HybridRow, error) {
 
 // PartitionAblationRow compares dynamic against frozen partitions.
 type PartitionAblationRow struct {
-	Benchmark      string
-	DynamicSpeedup float64
-	StaticSpeedup  float64
+	Benchmark      string  `col:"benchmark"`
+	DynamicSpeedup float64 `col:"dynamic,pct"`
+	StaticSpeedup  float64 `col:"static,pct"`
 }
 
 // AblationStaticPartition freezes the ROB/LQ/SQ partitions at their initial
@@ -57,11 +57,11 @@ func AblationStaticPartition(o SuiteOptions) ([]PartitionAblationRow, error) {
 
 // MaskAblationRow compares CDF with and without the Mask Cache.
 type MaskAblationRow struct {
-	Benchmark        string
-	Speedup          float64
-	NoMaskSpeedup    float64
-	Violations       uint64
-	NoMaskViolations uint64
+	Benchmark        string  `col:"benchmark"`
+	Speedup          float64 `col:"with,pct"`
+	NoMaskSpeedup    float64 `col:"without,pct"`
+	Violations       uint64  `col:"violations"`
+	NoMaskViolations uint64  `col:"violations (no MC)"`
 }
 
 // AblationNoMaskCache disables cross-path mask accumulation; §3.6 predicts
@@ -82,8 +82,8 @@ func AblationNoMaskCache(o SuiteOptions) ([]MaskAblationRow, error) {
 
 // CUCSweepRow is one Critical Uop Cache capacity point.
 type CUCSweepRow struct {
-	CUCKB      int
-	CDFSpeedup float64 // suite geomean over baseline
+	CUCKB      int     `col:"CUC KB"`
+	CDFSpeedup float64 `col:"CDF geomean,pct"` // suite geomean over baseline
 }
 
 // DefaultCUCSweepKB are the capacity points for SweepCUCSize.

@@ -85,11 +85,6 @@ type Tage struct {
 	// width, mask and evicted-bit position.
 	hist        [maxTageTables]tableHist
 	bimodalMask uint64
-
-	// Counters.
-	Lookups     uint64
-	ProviderHit uint64
-	Allocs      uint64
 }
 
 // NewTage builds a TAGE predictor.
@@ -225,7 +220,6 @@ func (t *Tage) bimodalIndex(pc uint64) uint32 {
 // branch at pc along with the state needed by Update. Every field Update
 // reads is overwritten, so info may be reused across calls.
 func (t *Tage) Predict(pc uint64, info *PredInfo) {
-	t.Lookups++
 	info.provider = -1
 	info.bimodalIx = t.bimodalIndex(pc)
 	bim := t.bimodal[info.bimodalIx] >= 0
@@ -250,7 +244,6 @@ func (t *Tage) Predict(pc uint64, info *PredInfo) {
 		}
 	}
 	if info.provider >= 0 {
-		t.ProviderHit++
 		info.provPred = pred
 		// Weak provider entries defer to the alternate prediction
 		// (newly-allocated entries are unreliable).
@@ -302,7 +295,6 @@ func (t *Tage) Update(pc uint64, taken bool, info *PredInfo) {
 					e.ctr = -1
 				}
 				e.useful = 0
-				t.Allocs++
 				allocated = true
 				break
 			}

@@ -51,12 +51,6 @@ type FillBuffer struct {
 	buf   []Record
 	masks *MaskCache
 	cuc   *UopCache
-
-	Walks          uint64
-	MarkedTotal    uint64
-	SeenTotal      uint64
-	RejectedSparse uint64
-	RejectedDense  uint64
 }
 
 // NewFillBuffer builds a fill buffer writing into masks and cuc.
@@ -90,7 +84,6 @@ func (f *FillBuffer) Insert(r Record) {
 // Walk performs the backwards dataflow walk over the full buffer, installs
 // traces (unless the density gates reject), and empties the buffer.
 func (f *FillBuffer) Walk() WalkResult {
-	f.Walks++
 	n := len(f.buf)
 	res := WalkResult{Total: n}
 
@@ -133,8 +126,6 @@ func (f *FillBuffer) Walk() WalkResult {
 	}
 
 	res.Density = float64(res.Marked) / float64(max(n, 1))
-	f.SeenTotal += uint64(n)
-	f.MarkedTotal += uint64(res.Marked)
 
 	// Collect per-block masks (oldest to youngest) and note each block's
 	// observed successor.
@@ -177,11 +168,6 @@ func (f *FillBuffer) Walk() WalkResult {
 		res.Rejected = true
 		res.TooSparse = res.Density < f.cfg.MinDensity
 		res.TooDense = !res.TooSparse
-		if res.TooSparse {
-			f.RejectedSparse++
-		} else {
-			f.RejectedDense++
-		}
 		if !f.cfg.RejectKeepsTraces {
 			for _, pc := range order {
 				f.masks.Remove(pc)

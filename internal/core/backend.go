@@ -240,15 +240,6 @@ func (c *Core) allocRegular(budget int) {
 			// non-critical uop produced a value this critical uop consumed
 			// — it executed incorrectly.
 			if c.violatesPoison(u) {
-				if c.debugViol != nil {
-					reg := -1
-					if u.Src1.Valid() && c.rf.poison[u.Src1] {
-						reg = int(u.Src1)
-					} else if u.Src2.Valid() && c.rf.poison[u.Src2] {
-						reg = int(u.Src2)
-					}
-					c.debugViol(t, reg)
-				}
 				c.st.DependenceViolations++
 				c.fetchQ.popHead()
 				c.pool.put(e)
@@ -296,9 +287,6 @@ func (c *Core) allocRegular(budget int) {
 					// ordered ahead of the critical RAT fork (the fork waits
 					// for them) and must not poison.
 					c.rf.poison[u.Dst] = true
-					if c.debugViol != nil {
-						c.lastPoisonWriter[u.Dst] = u.String()
-					}
 				}
 			}
 			e.regRenamed = true

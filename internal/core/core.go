@@ -169,9 +169,7 @@ type Core struct {
 	debugVerifySkip   bool                     // check skips against real simulation
 	skipPred          *skipPrediction          // pending skip-verifier prediction
 	debugSkipRefusals *[numSkipRefusals]uint64 // trySkip refusals by reason
-	debugViol         func(e *entry, reg int)
-	debugBlockRetire  func() bool // when set and true, retire stalls (watchdog tests)
-	lastPoisonWriter  [32]string
+	debugBlockRetire  func() bool              // when set and true, retire stalls (watchdog tests)
 
 	// Forward-progress watchdog anchor: retired count and cycle of the
 	// last observed retirement.

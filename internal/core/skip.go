@@ -157,7 +157,7 @@ func (c *Core) sig() coreSig {
 // engine mid-slice does real work each cycle.
 func (c *Core) skipEligible() bool {
 	return !c.cfg.SlowPath && c.tracer == nil && c.cfg.ParanoidEvery == 0 &&
-		c.debugBlockRetire == nil && c.debugViol == nil &&
+		c.debugBlockRetire == nil &&
 		c.pendingMemViol == nil &&
 		(c.runahead == nil || c.runahead.Idle())
 }

@@ -80,7 +80,6 @@ type DRAM struct {
 	Writes    uint64
 	RowHits   uint64
 	RowMisses uint64
-	RowClosed uint64
 	TotalLat  uint64 // sum of read latencies, for averages
 }
 
@@ -137,7 +136,6 @@ func (d *DRAM) Access(addr uint64, now uint64, write bool) uint64 {
 		d.RowMisses++
 	default:
 		cmdLat = d.cfg.TRCD + d.cfg.TCL
-		d.RowClosed++
 	}
 	b.openRow, b.rowValid = row, true
 

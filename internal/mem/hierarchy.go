@@ -28,9 +28,8 @@ type Config struct {
 	LLCLatency   int
 	LLCMSHRs     int
 
-	PrefetchEnabled bool
-	Prefetch        prefetch.Config
-	DRAM            dram.Config
+	Prefetch prefetch.Config
+	DRAM     dram.Config
 }
 
 // Default returns the paper's Table 1 cache hierarchy: 32KB 8-way L1I/L1D
@@ -38,22 +37,21 @@ type Config struct {
 // FDP, DDR4_2400R memory.
 func Default() Config {
 	return Config{
-		LineBytes:       64,
-		L1ISizeBytes:    32 * 1024,
-		L1IWays:         8,
-		L1ILatency:      2,
-		L1IMSHRs:        8,
-		L1DSizeBytes:    32 * 1024,
-		L1DWays:         8,
-		L1DLatency:      2,
-		L1DMSHRs:        32,
-		LLCSizeBytes:    1024 * 1024,
-		LLCWays:         16,
-		LLCLatency:      18,
-		LLCMSHRs:        64,
-		PrefetchEnabled: true,
-		Prefetch:        prefetch.Default(),
-		DRAM:            dram.Default(),
+		LineBytes:    64,
+		L1ISizeBytes: 32 * 1024,
+		L1IWays:      8,
+		L1ILatency:   2,
+		L1IMSHRs:     8,
+		L1DSizeBytes: 32 * 1024,
+		L1DWays:      8,
+		L1DLatency:   2,
+		L1DMSHRs:     32,
+		LLCSizeBytes: 1024 * 1024,
+		LLCWays:      16,
+		LLCLatency:   18,
+		LLCMSHRs:     64,
+		Prefetch:     prefetch.Default(),
+		DRAM:         dram.Default(),
 	}
 }
 
@@ -147,10 +145,8 @@ func NewHierarchy(cfg Config, st *stats.Stats) *Hierarchy {
 		L1D:  NewCache("L1D", cfg.L1DSizeBytes, cfg.L1DWays, cfg.LineBytes, cfg.L1DLatency, cfg.L1DMSHRs),
 		LLC:  NewCache("LLC", cfg.LLCSizeBytes, cfg.LLCWays, cfg.LineBytes, cfg.LLCLatency, cfg.LLCMSHRs),
 		DRAM: dram.New(cfg.DRAM),
+		Pref: prefetch.New(cfg.Prefetch),
 		St:   st,
-	}
-	if cfg.PrefetchEnabled {
-		h.Pref = prefetch.New(cfg.Prefetch)
 	}
 	return h
 }
@@ -167,7 +163,7 @@ func (h *Hierarchy) Load(addr, now uint64, wrongPath bool) AccessResult {
 	// Merge onto an in-flight fill if there is one.
 	if ready, ok := h.L1D.Pending(line, now); ok {
 		merged := h.llcMissHas(line)
-		if h.Pref != nil && merged {
+		if merged {
 			// Late-prefetch style merge: correct but not timely.
 			h.Pref.OnPrefetchLate()
 		}
@@ -195,7 +191,7 @@ func (h *Hierarchy) Load(addr, now uint64, wrongPath bool) AccessResult {
 	}
 
 	// Train the prefetcher on demand L1D misses (correct path only).
-	if h.Pref != nil && !wrongPath {
+	if !wrongPath {
 		for _, pl := range h.Pref.OnMiss(line) {
 			h.prefetchLine(pl, now)
 		}
@@ -306,7 +302,7 @@ func (h *Hierarchy) accessLLC(line, at uint64, inst, wrongPath bool) (done uint6
 	if hit, wasPref := h.LLC.Lookup(line); hit {
 		if !wrongPath {
 			h.St.LLCHits++
-			if wasPref && h.Pref != nil {
+			if wasPref {
 				h.Pref.OnPrefetchUseful()
 				h.St.PrefetchesUseful++
 			}

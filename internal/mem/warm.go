@@ -35,20 +35,16 @@ func (h *Hierarchy) WarmLoad(addr uint64) (llcMiss bool) {
 	// FDP feedback is timing-coupled (late merges drive the degree up) and
 	// cannot be observed functionally; freeze the throttle so only the
 	// cycle-accurate measured intervals adapt it.
-	if h.Pref != nil {
-		h.Pref.Freeze(true)
-		defer h.Pref.Freeze(false)
-	}
+	h.Pref.Freeze(true)
+	defer h.Pref.Freeze(false)
 	llcHit := h.warmLookupLLC(line)
 	if !llcHit {
 		h.LLC.Insert(line, false, false)
 	}
 	h.warmFillL1D(line, false)
-	if h.Pref != nil {
-		for _, pl := range h.Pref.OnMiss(line) {
-			if !h.LLC.Contains(pl) {
-				h.LLC.Insert(pl, false, true)
-			}
+	for _, pl := range h.Pref.OnMiss(line) {
+		if !h.LLC.Contains(pl) {
+			h.LLC.Insert(pl, false, true)
 		}
 	}
 	return !llcHit
@@ -98,7 +94,7 @@ func (h *Hierarchy) WarmWrongLoad(addr uint64) {
 // crippled prefetcher.
 func (h *Hierarchy) warmLookupLLC(line uint64) (hit bool) {
 	hit, wasPref := h.LLC.Lookup(line)
-	if hit && wasPref && h.Pref != nil {
+	if hit && wasPref {
 		h.Pref.OnPrefetchUseful()
 	}
 	return hit

@@ -2,12 +2,20 @@
 // CSV. The cdfexperiments command builds every figure as a Table and picks
 // the renderer from its -format flag; EXPERIMENTS.md's tables come from the
 // Markdown renderer.
+//
+// A table is declared once, by the struct type of its rows: FromRows
+// makes each field a column, titled and formatted by the field's
+// `col:"header[,format]"` tag, as stats.Stats declares its counters with
+// `stat` tags.
 package report
 
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
+
+	"cdf/internal/stats"
 )
 
 // Table is one experiment's result grid.
@@ -25,6 +33,84 @@ func (t *Table) AddRow(cells ...string) {
 			len(cells), t.Title, len(t.Columns)))
 	}
 	t.Rows = append(t.Rows, cells)
+}
+
+// FromRows builds a table with one column per field of the struct type R
+// and one row per element of rows. Each field must be tagged
+// `col:"header[,format]"`, where format is pct, rel or frac (the Pct, Rel
+// and Frac formatters), a printf verb such as %.3f, or empty for an int,
+// uint or string field, which prints as it is. With geomean set, a last
+// row "geomean" holds the geometric mean of each float column in that
+// column's format; a column with no rows or a non-positive value has none
+// and reads NA. A field FromRows cannot render is a programmer error and
+// panics.
+func FromRows[R any](title, note string, rows []R, geomean bool) *Table {
+	typ := reflect.TypeFor[R]()
+	cols := make([]column, typ.NumField())
+	t := &Table{Title: title, Note: note}
+	for i := range cols {
+		cols[i] = newColumn(typ, typ.Field(i))
+		t.Columns = append(t.Columns, cols[i].header)
+	}
+	floats := make([][]float64, len(cols))
+	for _, r := range rows {
+		v := reflect.ValueOf(r)
+		line := make([]string, len(cols))
+		for i, c := range cols {
+			line[i] = c.cell(v.Field(i))
+			if c.float {
+				floats[i] = append(floats[i], v.Field(i).Float())
+			}
+		}
+		t.AddRow(line...)
+	}
+	if geomean {
+		line := make([]string, len(cols))
+		line[0] = "geomean"
+		for i, c := range cols {
+			if !c.float {
+				continue
+			}
+			line[i] = NA
+			if g, err := stats.Geomean(floats[i]); err == nil {
+				line[i] = c.cell(reflect.ValueOf(g))
+			}
+		}
+		t.AddRow(line...)
+	}
+	return t
+}
+
+// column is one field of a FromRows row type: its header, whether it is
+// a float (and so has a geomean), and its cell formatter.
+type column struct {
+	header string
+	float  bool
+	cell   func(reflect.Value) string
+}
+
+// named are the formats a col tag names rather than spells as a verb.
+var named = map[string]func(float64) string{"pct": Pct, "rel": Rel, "frac": Frac}
+
+// newColumn parses field f of typ from its col tag.
+func newColumn(typ reflect.Type, f reflect.StructField) column {
+	header, format, _ := strings.Cut(f.Tag.Get("col"), ",")
+	zero := reflect.Zero(f.Type)
+	c := column{header: header, float: zero.CanFloat()}
+	switch fn := named[format]; {
+	case header == "":
+	case fn != nil && c.float:
+		c.cell = func(v reflect.Value) string { return fn(v.Float()) }
+		return c
+	case strings.HasPrefix(format, "%"):
+		c.cell = func(v reflect.Value) string { return fmt.Sprintf(format, v.Interface()) }
+		return c
+	case format == "" && (zero.CanInt() || zero.CanUint() || zero.Kind() == reflect.String):
+		c.cell = func(v reflect.Value) string { return fmt.Sprint(v.Interface()) }
+		return c
+	}
+	panic(fmt.Sprintf("report: field %s.%s (%s) needs a `col:\"header[,pct|rel|frac|%%verb]\"` tag that fits its type",
+		typ.Name(), f.Name, f.Type))
 }
 
 // NA is what the numeric formatters render for a value that does not

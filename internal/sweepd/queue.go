@@ -197,10 +197,9 @@ const (
 // admission, so a crashed or drained server requeues it on restart; its
 // completion is journaled when the last case lands.
 type Job struct {
-	ID       string
-	Spec     JobSpec
-	Cases    []Case
-	Accepted time.Time
+	ID    string
+	Spec  JobSpec
+	Cases []Case
 
 	mu       sync.Mutex
 	cond     *sync.Cond
